@@ -9,7 +9,9 @@ failure, 4 resource limit.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,9 +31,8 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
 
-
-def _fmt(value):
-    return f"{value:.9g}"
+# Most points a --grid may hold; the paper's figure grids hold 1001.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _atomic_write(path, text):
@@ -52,9 +53,12 @@ def _parse_grid(spec):
         start, end, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise DomainError(f"bad grid spec {spec!r}, expected start:end:step") from exc
-    if step <= 0 or end < start:
+    if not (math.isfinite(start) and math.isfinite(end) and step > 0) or end < start:
         raise DomainError(f"bad grid spec {spec!r}")
-    count = int(round((end - start) / step))
+    count = (end - start) / step
+    if count + 1 > MAX_GRID_POINTS:
+        raise ResourceError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    count = int(round(count))
     grid = [start + k * step for k in range(count + 1)]
     if grid[-1] > end + 1e-12:
         grid.pop()
@@ -92,7 +96,7 @@ def _cmd_c1(args):
         _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = ["kappa,p,c1,holevo"]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [",".join(sweep._fmt(v) for v in row) for row in rows]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -102,12 +106,7 @@ def _cmd_sweep(args):
     grid = _parse_grid(args.grid)
     rows = sweep.sweep_table(n_list, grid, codebook_choice=args.codebook)
     if args.json:
-        keys = sweep.CSV_HEADER.split(",")
-        lines = [
-            json.dumps(dict(zip(keys, (r.n, r.kappa, r.c1, r.per_letter_info,
-                                       r.margin, r.pe_block, r.p_single, r.holevo))))
-            for r in rows
-        ]
+        lines = [json.dumps(dataclasses.asdict(r)) for r in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(sweep.rows_to_csv(rows), args.out)
@@ -124,13 +123,18 @@ def _cmd_threshold(args):
         }
         print(json.dumps(payload))
     else:
-        print("none" if result.kappa_star is None else _fmt(result.kappa_star))
+        print("none" if result.kappa_star is None else sweep._fmt(result.kappa_star))
     return EXIT_OK
 
 
 def _cmd_synthesize(args):
     if not 0.0 < args.kappa < 1.0:
         raise DomainError("synthesis requires 0 < kappa < 1")
+    if args.n > synthesis.MAX_WIRES:
+        raise ResourceError(
+            f"the decoder network is simulated, which is limited to"
+            f" {synthesis.MAX_WIRES} wires; got n = {args.n}"
+        )
     book = cb_mod.even_weight_codebook(args.n)
     v, d, factors, gates = synthesis.decoder_network(book, args.kappa)
     dim = 2**args.n
@@ -154,9 +158,9 @@ def _cmd_synthesize(args):
     _atomic_write(os.path.join(args.out, "network.txt"), synthesis.network_to_text(gates))
     x = sqrm.principal_sqrt(cb_mod.gram_matrix(book, args.kappa))
     pe = sqrm.average_error_probability(book.priors, x)
-    print(f"P_e {_fmt(pe)}")
+    print(f"P_e {sweep._fmt(pe)}")
     for m, w in enumerate(book.words):
-        print(f"P({w}|{w}) {_fmt(x[m, m] ** 2)}")
+        print(f"P({w}|{w}) {sweep._fmt(x[m, m] ** 2)}")
     return EXIT_OK
 
 

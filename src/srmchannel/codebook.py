@@ -29,6 +29,9 @@ __all__ = [
     "load_codebook",
 ]
 
+# Largest block length a codebook or spectral engine accepts: 2**20 words.
+MAX_BLOCK_LENGTH = 20
+
 
 def hamming_distance(w1, w2):
     if len(w1) != len(w2):
@@ -67,15 +70,21 @@ class Codebook:
         return len(self.words)
 
 
-def even_weight_codebook(n, limit=20):
+def _check_block_length(n):
+    if n > MAX_BLOCK_LENGTH:
+        raise ResourceError(
+            f"block length {n} exceeds the configured limit {MAX_BLOCK_LENGTH}"
+        )
+
+
+def even_weight_codebook(n):
     """All length-n binary words of even Hamming weight, uniform priors.
 
     This is a linear code of size 2**(n-1) with minimum distance 2.
     """
     if n < 2:
         raise DomainError(f"block length must be >= 2, got {n}")
-    if n > limit:
-        raise ResourceError(f"block length {n} exceeds the configured limit {limit}")
+    _check_block_length(n)
     words = tuple(
         format(v, f"0{n}b") for v in range(2**n) if bin(v).count("1") % 2 == 0
     )
@@ -87,12 +96,11 @@ def alternative_codebook():
     return Codebook(n=3, words=("000", "100", "011", "111"))
 
 
-def full_codebook(n, limit=20):
+def full_codebook(n):
     """All 2**n words with uniform priors (the unpruned product ensemble)."""
     if n < 1:
         raise DomainError(f"block length must be >= 1, got {n}")
-    if n > limit:
-        raise ResourceError(f"block length {n} exceeds the configured limit {limit}")
+    _check_block_length(n)
     return Codebook(n=n, words=tuple(format(v, f"0{n}b") for v in range(2**n)))
 
 
@@ -142,14 +150,21 @@ def save_codebook(codebook, path):
 
 
 def load_codebook(path):
+    """Read the text format of :func:`save_codebook`; DomainError if malformed."""
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    n, m = (int(t) for t in tokens[0].split())
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    try:
+        n, m = (int(t) for t in lines[0].split())
+    except (IndexError, ValueError) as exc:
+        raise DomainError(f"bad codebook header in {path}, expected 'n M'") from exc
+    if len(lines) < 1 + m:
+        raise DomainError(f"codebook file truncated: {len(lines) - 1} of {m} words")
     words, priors = [], []
-    for line in tokens[1 : 1 + m]:
-        w, p = line.split()
+    for line in lines[1 : 1 + m]:
+        try:
+            w, p = line.split()
+            priors.append(float(p))
+        except ValueError as exc:
+            raise DomainError(f"malformed codebook line {line!r}") from exc
         words.append(w)
-        priors.append(float(p))
-    if len(words) != m:
-        raise DomainError("codebook file truncated")
     return Codebook(n=n, words=tuple(words), priors=np.array(priors))

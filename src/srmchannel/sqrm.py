@@ -5,8 +5,12 @@ root of their Gram matrix; the overlap (channel) matrix is the principal
 square root itself, and its squared entries are the decoding conditional
 probabilities.  Alongside the dense eigendecomposition route there is a
 Walsh-Hadamard fast path for codebooks that form a group under XOR, where
-the Gram matrix is diagonalized by the group characters in O(M log M).
+the Gram matrix is diagonalized by the characters of Z_2^n in O(2^n n), and
+a closed form for the even-weight code, whose spectrum depends only on the
+character weight, in O(n^2).
 """
+
+from math import comb
 
 import numpy as np
 
@@ -27,6 +31,8 @@ __all__ = [
     "holevo_condition_check",
     "xor_fast_path",
     "fast_srm_summary",
+    "even_weight_summary",
+    "srm_vectors",
     "product_decoding_information",
     "fwht",
 ]
@@ -117,8 +123,8 @@ def average_error_probability(priors, x):
     return float(1.0 - priors @ np.diag(x) ** 2)
 
 
-def _srm_vectors_dense(codebook, kappa):
-    """Measurement vectors mu_j = sum_i (Gamma^{-1/2})_ij S_i as columns."""
+def srm_vectors(codebook, kappa):
+    """Columns are the SRM vectors mu_j = sum_i (Gamma^{-1/2})_ij S_i."""
     gram = cb_mod.gram_matrix(codebook, kappa)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
@@ -127,7 +133,7 @@ def _srm_vectors_dense(codebook, kappa):
         )
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     vecs = np.column_stack([cb_mod.codeword_vector(w, kappa) for w in codebook.words])
-    return vecs @ inv_sqrt, vecs
+    return vecs @ inv_sqrt
 
 
 def holevo_condition_check(codebook, kappa, tolerance=1e-9):
@@ -138,7 +144,8 @@ def holevo_condition_check(codebook, kappa, tolerance=1e-9):
     and that Lambda - zeta_j |S_j><S_j| is PSD for every codeword j.  Returns
     a dict with ``satisfied`` and the worst ``min_eigenvalue`` observed.
     """
-    mu, vecs = _srm_vectors_dense(codebook, kappa)
+    mu = srm_vectors(codebook, kappa)
+    vecs = np.column_stack([cb_mod.codeword_vector(w, kappa) for w in codebook.words])
     priors = codebook.priors
     lam = np.zeros((mu.shape[0], mu.shape[0]))
     for i in range(len(codebook)):
@@ -172,87 +179,51 @@ def fwht(values):
     return a.reshape(m)
 
 
-_COORD_CACHE = {}
-
-
-def _group_coordinates(codebook):
-    """GF(2) basis and per-word coordinates for an XOR-closed codebook.
-
-    Returns ``(basis, coords)``: ``basis`` is a list of generator word-ints,
-    ``coords[j]`` the coordinate index of word j with respect to it.
-    """
-    cached = _COORD_CACHE.get(codebook.words)
-    if cached is not None:
-        return cached
-    ints = [int(w, 2) for w in codebook.words]
-    if 0 not in ints or len(ints) & (len(ints) - 1):
-        raise StructureError("codebook is not a group under XOR")
-    # Reduced-echelon basis: pivots[b] holds (vector, combo mask over basis).
-    pivots = {}
-    basis = []
-    for v in ints:
-        cur, combo = v, 0
-        for b in sorted(pivots, reverse=True):
-            if cur >> b & 1:
-                vec, mask = pivots[b]
-                cur ^= vec
-                combo ^= mask
-        if cur:
-            pivot = cur.bit_length() - 1
-            pivots[pivot] = (cur, combo | (1 << len(basis)))
-            basis.append(cur)
-    if len(basis) != len(ints).bit_length() - 1:
-        raise StructureError("codebook is not closed under XOR")
-    coords = []
-    for v in ints:
-        cur, combo = v, 0
-        for b in sorted(pivots, reverse=True):
-            if cur >> b & 1:
-                vec, mask = pivots[b]
-                cur ^= vec
-                combo ^= mask
-        if cur:
-            raise StructureError("codebook is not closed under XOR")
-        coords.append(combo)
-    _COORD_CACHE[codebook.words] = (basis, coords)
-    return basis, coords
-
-
 def xor_fast_path(codebook, kappa):
-    """Spectrum and first channel-matrix row for a group codebook, O(M log M).
+    """Spectrum and first channel-matrix row for a group codebook, O(2**n n).
 
-    The Gram matrix of an XOR-closed codebook is group-invariant, so the
-    Walsh-Hadamard transform of the single-generator function
-    ``f(w) = kappa**weight(w)`` yields its eigenvalues; the inverse transform
-    of their square roots gives the row of the principal square root through
-    the zero word.  Returns ``(eigenvalues, first_row)`` with the row indexed
-    in codebook word order.
+    The Gram matrix of an XOR-closed codebook C is group-invariant, so the
+    Walsh-Hadamard transform over all of Z_2^n of ``kappa**weight(x)`` on C
+    (zero elsewhere) yields its eigenvalues, each repeated 2**n / |C| times;
+    the inverse transform of their square roots gives the principal root as
+    a function of ``word_i XOR word_j``.  C is a group exactly when the
+    transform of its indicator takes only the values 0 and |C|.  Returns
+    ``(eigenvalues, first_row)`` with the row indexed in codebook word order.
     """
     kappa = float(kappa)
-    basis, coords = _group_coordinates(codebook)
-    m = len(codebook)
-    weights = _COORD_CACHE.get((codebook.words, "weights"))
-    if weights is None:
-        elements = np.zeros(m, dtype=np.uint64)
-        idx = np.arange(m, dtype=np.uint64)
-        for b, vec in enumerate(basis):
-            elements[(idx >> np.uint64(b)) & np.uint64(1) == 1] ^= np.uint64(vec)
-        weights = np.zeros(m, dtype=np.int64)
-        while elements.any():
-            weights += (elements & np.uint64(1)).astype(np.int64)
-            elements >>= np.uint64(1)
-        _COORD_CACHE[(codebook.words, "weights")] = weights
-    f = np.where(weights == 0, 1.0, kappa ** weights.astype(float))
-    eigenvalues = fwht(f)
-    floor = -_EIG_TOL * max(eigenvalues.max(), 1.0)
-    if eigenvalues.min() < floor:
+    cb_mod._check_block_length(codebook.n)
+    size, m = 2**codebook.n, len(codebook)
+    ints = np.array([int(w, 2) for w in codebook.words])
+    member = np.zeros(size)
+    member[ints] = 1.0
+    character_sums = fwht(member)
+    if np.any((character_sums != 0.0) & (character_sums != m)):
+        raise StructureError("codebook is not a group under XOR")
+    weights = np.zeros(1)  # weights[x] = Hamming weight of x, built bit by bit
+    for _ in range(codebook.n):
+        weights = np.concatenate((weights, weights + 1.0))
+    spectrum = fwht(member * kappa**weights)
+    floor = -_EIG_TOL * max(spectrum.max(), 1.0)
+    if spectrum.min() < floor:
         raise DomainError(
-            f"gram matrix is not positive semidefinite: min eigenvalue {eigenvalues.min()}"
+            f"gram matrix is not positive semidefinite: min eigenvalue {spectrum.min()}"
         )
-    row_group = fwht(np.sqrt(np.clip(eigenvalues, 0.0, None))) / m
-    # X[0, j] depends only on word_0 XOR word_j; coordinates are linear in XOR.
-    first_row = np.array([row_group[coords[0] ^ c] for c in coords])
-    return eigenvalues, first_row
+    root = fwht(np.sqrt(np.clip(spectrum, 0.0, None))) / size
+    return np.sort(spectrum)[:: size // m], root[ints[0] ^ ints]
+
+
+def _symmetric_summary(q, multiplicity, m):
+    """(information, error probability) of a symmetric M-ary SRM channel.
+
+    ``q[c]`` is the probability of each of the ``multiplicity[c]`` outputs in
+    class c given any input; class 0 is the correct output alone.
+    """
+    total = multiplicity @ q
+    if abs(total - 1.0) > 1e-8:
+        raise ConsistencyError(f"fast-path probabilities sum to {total}")
+    mask = q > 0.0
+    info = np.log2(m) + np.sum(multiplicity[mask] * q[mask] * np.log2(q[mask]))
+    return float(info), float(1.0 - q[0])
 
 
 def fast_srm_summary(codebook, kappa):
@@ -267,12 +238,39 @@ def fast_srm_summary(codebook, kappa):
         raise StructureError("fast path requires uniform priors")
     _, first_row = xor_fast_path(codebook, kappa)
     q = first_row**2
-    total = q.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise ConsistencyError(f"fast-path probabilities sum to {total}")
-    mask = q > 0.0
-    info = np.log2(len(codebook)) + float(np.sum(q[mask] * np.log2(q[mask])))
-    return info, float(1.0 - q[0])
+    return _symmetric_summary(q, np.ones_like(q), len(codebook))
+
+
+def even_weight_summary(n, kappa):
+    """Mutual information and error probability of the even-weight code, O(n^2).
+
+    The Gram eigenvalue of the character u depends only on k = weight(u),
+    ``lambda_k = [(1+kappa)^(n-k) (1-kappa)^k + (1-kappa)^(n-k) (1+kappa)^k] / 2``,
+    so the principal-root entry between two codewords at distance w is the
+    Krawtchouk sum ``2^-n sum_k sqrt(lambda_k) K_k(w)`` (MacWilliams and
+    Sloane, ch. 5).  Returns ``(information_bits, error_probability)`` like
+    :func:`fast_srm_summary` on :func:`codebook.even_weight_codebook`.
+    """
+    if n < 2:
+        raise DomainError(f"block length must be >= 2, got {n}")
+    cb_mod._check_block_length(n)
+    kappa = float(kappa)
+    if not 0.0 <= kappa <= 1.0:
+        raise DomainError(f"overlap must lie in [0, 1], got {kappa}")
+    k = np.arange(n + 1)
+    a, b = 1.0 + kappa, 1.0 - kappa
+    roots = np.sqrt(0.5 * (a ** (n - k) * b**k + b ** (n - k) * a**k))
+    w = np.arange(0, n + 1, 2)
+    # K_0 = 1, K_1 = n - 2w, (j+1) K_{j+1} = (n-2w) K_j - (n-j+1) K_{j-1}:
+    # all values are integers far below 2**53, so the recurrence is exact.
+    prev, cur = np.ones(len(w)), n - 2.0 * w
+    row = roots[0] * prev + roots[1] * cur
+    for j in range(1, n):
+        prev, cur = cur, ((n - 2.0 * w) * cur - (n - j + 1) * prev) / (j + 1)
+        row += roots[j + 1] * cur
+    q = (row / 2.0**n) ** 2
+    multiplicity = np.array([comb(n, int(v)) for v in w], dtype=float)
+    return _symmetric_summary(q, multiplicity, 2 ** (n - 1))
 
 
 def product_decoding_information(n, kappa):

@@ -9,7 +9,6 @@ refines it by bisection.
 
 import io
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,18 +53,13 @@ class ThresholdResult:
     bracket_width: float
 
 
-@lru_cache(maxsize=32)
-def _even_book(n):
-    return cb_mod.even_weight_codebook(n)
-
-
 def _block_summary(n, kappa, codebook_choice="even"):
     """(information, block error probability) for the chosen codebook."""
     if codebook_choice == "even":
         if kappa in (0.0, 1.0):
             # Exact endpoints: noiseless distance-2 code / identical codewords.
             return (float(n - 1), 0.0) if kappa == 0.0 else (0.0, 1.0 - 2.0 ** (1 - n))
-        return sqrm.fast_srm_summary(_even_book(n), kappa)
+        return sqrm.even_weight_summary(n, kappa)
     if codebook_choice == "alt":
         if n != 3:
             raise DomainError("the alternative codebook exists only at block length 3")

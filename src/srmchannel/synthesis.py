@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codebook as cb_mod
+from . import codebook as cb_mod, sqrm
 from .exceptions import (
     ConsistencyError,
     DegenerateInputError,
@@ -47,6 +47,9 @@ __all__ = [
     "network_from_text",
     "ry_matrix",
 ]
+
+# Widest network the dense simulator accepts: a 4096 x 4096 unitary.
+MAX_WIRES = 12
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -108,16 +111,8 @@ class ControlledUnitary:
 
 
 def srm_vectors(codebook, kappa):
-    """Columns are the SRM vectors mu_j = sum_i (Gamma^{-1/2})_ij S_i."""
-    gram = cb_mod.gram_matrix(codebook, kappa)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
-        raise DegenerateInputError(
-            f"gram matrix is singular (min eigenvalue {eigvals[0]}); SRM undefined"
-        )
-    inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    vecs = np.column_stack([cb_mod.codeword_vector(w, kappa) for w in codebook.words])
-    return vecs @ inv_sqrt
+    """First synthesis stage: the SRM vectors of :func:`sqrm.srm_vectors`."""
+    return sqrm.srm_vectors(codebook, kappa)
 
 
 def gram_schmidt_completion(mu, codebook, kappa):
@@ -385,8 +380,8 @@ def _controlled(u, controls, target, n):
 
 def simulate_network(gates, n):
     """Dense unitary of a gate list, applied left to right."""
-    if n > 12:
-        raise ResourceError(f"network simulation limited to 12 wires, got {n}")
+    if n > MAX_WIRES:
+        raise ResourceError(f"network simulation limited to {MAX_WIRES} wires, got {n}")
     out = np.eye(2**n)
     for g in gates:
         out = _gate_matrix(g, n) @ out

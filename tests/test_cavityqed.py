@@ -17,7 +17,7 @@ def _unitary_defect(u):
 
 @pytest.fixture(scope="module")
 def solved():
-    return cq.solve_sequence_params(1.0, 5.0, 7.0, scan_points=21)
+    return cq.solve_sequence_params(1.0, 5.0, 7.0)
 
 
 def test_encoder_rotation_endpoints():
@@ -235,12 +235,24 @@ def test_solve_rejects_bad_parameters():
         cq.solve_sequence_params(1.0, 5.0, 0.0)
 
 
-def test_solve_failure_carries_best():
+def test_solve_failure_carries_best(monkeypatch):
+    monkeypatch.setattr(cq, "local_class_fidelity", lambda block: 0.5)
     with pytest.raises(SearchFailureError) as excinfo:
-        cq.solve_sequence_params(1.0, 5.0, 7.0, scan_points=5, fidelity_target=2.0)
+        cq.solve_sequence_params(1.0, 5.0, 7.0)
     best = excinfo.value.best
     assert best is not None
     assert 0.0 <= best["fidelity"] <= 1.0
+    assert best["params"].g_eff * best["params"].t == pytest.approx(np.pi / 4.0)
+
+
+@pytest.mark.parametrize(
+    "g, delta, nu", [(1, 5, 7), (2, 8, 5), (1, -5, 7), (0.5, 3, 2), (1, 20, 7), (3, 4, 1)]
+)
+def test_solve_uses_analytic_duration(g, delta, nu):
+    result = cq.solve_sequence_params(g, delta, nu)
+    params = result["params"]
+    assert abs(params.g_eff) * params.t == pytest.approx(np.pi / 4.0, rel=1e-15)
+    assert result["fidelity"] >= 0.999
 
 
 def _controlled_from_gate(gate):

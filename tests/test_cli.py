@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from srmchannel import cli, synthesis as syn
+from srmchannel import cavityqed as cq, cli, synthesis as syn
 
 
 def _run(capsys, *argv):
@@ -47,6 +47,57 @@ def test_c1_bad_grid(capsys):
     status, _, err = _run(capsys, "c1", "--grid", "0:1")
     assert status == 2
     assert "grid" in err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan", "-inf:0:1", "nan:1:0.1"])
+def test_non_finite_grid_is_a_domain_error(capsys, grid):
+    status, _, err = _run(capsys, "sweep", "--n", "3", "--grid", grid)
+    assert status == 2
+    assert "grid" in err
+
+
+def test_oversized_grid_refused_before_building(capsys, monkeypatch):
+    # A cap of 100 keeps the test small; the paper's 1001-point grid is
+    # accepted under the real cap (test_sweep_row_count_and_header).
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 100)
+    status, _, err = _run(capsys, "sweep", "--n", "3", "--grid", "0:1:0.001")
+    assert status == 4
+    assert "grid" in err
+    status, _, _ = _run(capsys, "c1", "--grid", "0:1:0.1")
+    assert status == 0
+
+
+def test_subnormal_grid_step_is_a_resource_error(capsys):
+    status, _, err = _run(capsys, "c1", "--grid", "0:1:1e-320")
+    assert status == 4
+    assert "grid" in err
+
+
+def test_synthesize_refuses_wide_network_before_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("synthesis started")
+
+    monkeypatch.setattr(syn, "decoder_network", no_work)
+    status, _, err = _run(
+        capsys, "synthesize", "--n", "13", "--kappa", "0.5", "--out", str(tmp_path / "x")
+    )
+    assert status == 4
+    assert "wires" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_threshold_beyond_block_limit(capsys):
+    status, _, err = _run(capsys, "threshold", "--n", "21")
+    assert status == 4
+    assert "limit" in err
+
+
+def test_gatecheck_verification_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cq, "local_class_fidelity", lambda block: 0.5)
+    status, out, err = _run(capsys, "gatecheck")
+    assert status == 3
+    assert "search failure" in err
+    assert "fidelity 0.5" in out
 
 
 def test_unknown_flag_rejected(capsys):

@@ -138,3 +138,29 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.n == book.n
     assert loaded.words == book.words
     assert np.array_equal(loaded.priors, book.priors)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",  # no header
+        "3\n000 1\n",  # header lacks the word count
+        "3 x\n000 1\n",  # non-integer word count
+        "3 0\n",  # no words declared
+        "3 4\n000 0.25\n",  # truncated: one of four words
+        "3 2\n000 0.5\n011\n",  # line without a prior
+        "3 2\n000 0.5\n011 half\n",  # prior is not a number
+        "3 1\n000 1 extra\n",  # extra field
+    ],
+)
+def test_load_codebook_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "book.txt"
+    path.write_text(text)
+    with pytest.raises(DomainError):
+        cb.load_codebook(path)
+
+
+def test_full_codebook_limit():
+    assert len(cb.full_codebook(3)) == 8
+    with pytest.raises(ResourceError):
+        cb.full_codebook(cb.MAX_BLOCK_LENGTH + 1)
