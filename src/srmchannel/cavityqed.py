@@ -268,9 +268,13 @@ def solve_sequence_params(g, delta, nu):
     and t.  The composed sequence is verified by its local-class fidelity;
     below ``_FIDELITY_FLOOR`` a SearchFailureError carries the candidate.
     """
+    if not np.all(np.isfinite((g, delta, nu))):
+        raise DomainError("g, delta and nu must be finite")
     if g <= 0 or delta == 0 or nu <= 0:
         raise DomainError("g and nu must be positive, delta nonzero")
     g_eff = g * g / delta
+    if g_eff == 0.0:
+        raise DomainError(f"g_eff = g^2/delta underflows to zero for g = {g}, delta = {delta}")
     t = np.pi / (4.0 * abs(g_eff))
     tau_prime = 2.0 * np.pi / nu
     # phase relation: nu (tau - tau')/2 = nu t / 2 + g_eff t / 2 (mod 2 pi)

@@ -102,7 +102,10 @@ def _cmd_c1(args):
 
 
 def _cmd_sweep(args):
-    n_list = [int(tok) for tok in args.n.split(",")]
+    try:
+        n_list = [int(tok) for tok in args.n.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"bad --n {args.n!r}, expected comma-separated integers") from exc
     grid = _parse_grid(args.grid)
     rows = sweep.sweep_table(n_list, grid, codebook_choice=args.codebook)
     if args.json:

@@ -91,8 +91,8 @@ def threshold_kappa(n, tolerance=1e-4, codebook_choice="even"):
     bisection then shrinks the bracket to the requested width.  Returns
     ``kappa_star = None`` when the margin is nowhere positive on the scan.
     """
-    if tolerance <= 0:
-        raise DomainError("tolerance must be positive")
+    if not tolerance > 0:
+        raise DomainError(f"tolerance must be positive, got {tolerance}")
     grid = np.arange(_SCAN_STEP, _KAPPA_CEIL + 1e-12, _SCAN_STEP)
     margins = [superadditivity_margin(n, k, codebook_choice) for k in grid]
     bracket = None

@@ -6,13 +6,16 @@ measurement direction onto a computational-basis state; decoding is then a
 plain level detection of the individual letters.  V is factored into
 two-level (Givens) rotations, each of which compiles to a gate network of
 controlled flips (Gray-code mapping), one multi-controlled y-rotation, and
-the mapping undone.  A dense simulator verifies every network.
+the mapping undone.  Every gate is a 2x2 core on a target wire under a set
+of control wires (no controls for a plain rotation or flip), and a simulator
+that mixes row pairs with those cores verifies every network.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,8 +29,6 @@ from .exceptions import (
 
 __all__ = [
     "TwoLevelFactor",
-    "RotationGate",
-    "FlipGate",
     "ControlledRotation",
     "ControlledFlip",
     "ControlledUnitary",
@@ -48,10 +49,12 @@ __all__ = [
     "ry_matrix",
 ]
 
-# Widest network the dense simulator accepts: a 4096 x 4096 unitary.
+# Widest network the simulator accepts: it returns the 2**n x 2**n unitary,
+# 128 MB at 12 wires.
 MAX_WIRES = 12
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SIGMA_X.flags.writeable = False  # shared as every ControlledFlip.core
 
 
 def ry_matrix(theta):
@@ -78,27 +81,25 @@ class TwoLevelFactor:
 
 
 @dataclass(frozen=True)
-class RotationGate:
-    wire: int
-    angle: float
-
-
-@dataclass(frozen=True)
-class FlipGate:
-    wire: int
-
-
-@dataclass(frozen=True)
 class ControlledRotation:
+    """R_y(angle) on ``target`` when every wire in ``controls`` holds 1."""
+
     controls: tuple
     target: int
     angle: float
+
+    @property
+    def core(self):
+        return ry_matrix(self.angle)
 
 
 @dataclass(frozen=True)
 class ControlledFlip:
+    """sigma_x on ``target`` when every wire in ``controls`` holds 1."""
+
     controls: tuple
     target: int
+    core = _SIGMA_X
 
 
 @dataclass(frozen=True)
@@ -205,23 +206,17 @@ def recompose(d, factors, dim):
     return out
 
 
-def _bits(index, n):
-    return [(index >> (n - 1 - k)) & 1 for k in range(n)]
+def _bit(index, wire, n):
+    return (index >> (n - 1 - wire)) & 1
 
 
-def _flip_step(current, target_wire, n):
-    """Multi-controlled flip of one wire, conditioned on the other wires
-    holding their values in ``current``; 0-controls are X-conjugated."""
-    bits = _bits(current, n)
-    gates = []
-    zero_controls = [w for w in range(n) if w != target_wire and bits[w] == 0]
-    for w in zero_controls:
-        gates.append(FlipGate(wire=w))
-    controls = tuple(w for w in range(n) if w != target_wire)
-    gates.append(ControlledFlip(controls=controls, target=target_wire))
-    for w in reversed(zero_controls):
-        gates.append(FlipGate(wire=w))
-    return gates
+def _conjugated(make, current, target, n):
+    """Gate ``make(controls=, target=)`` conditioned on every other wire holding
+    its value in basis state ``current``; 0-controls are X-conjugated."""
+    zero = [ControlledFlip(controls=(), target=w) for w in range(n)
+            if w != target and _bit(current, w, n) == 0]
+    controls = tuple(w for w in range(n) if w != target)
+    return zero + [make(controls=controls, target=target)] + zero[::-1]
 
 
 def factor_to_gates(factor, n):
@@ -236,21 +231,16 @@ def factor_to_gates(factor, n):
     i, j = factor.i, factor.j
     if not 0 <= i < j < 2**n:
         raise DomainError(f"factor indices ({i}, {j}) out of range for {n} wires")
-    diff = [w for w in range(n) if (i >> (n - 1 - w)) & 1 != (j >> (n - 1 - w)) & 1]
+    diff = [w for w in range(n) if _bit(i, w, n) != _bit(j, w, n)]
     target = diff[-1]
     mapping = []
     current = i
     for w in diff[:-1]:
-        mapping.extend(_flip_step(current, w, n))
+        mapping.extend(_conjugated(ControlledFlip, current, w, n))
         current ^= 1 << (n - 1 - w)
     # current and j now differ only in the target wire
-    bits = _bits(current, n)
-    zero_controls = [w for w in range(n) if w != target and bits[w] == 0]
-    controls = tuple(w for w in range(n) if w != target)
-    angle = 2.0 * factor.gamma if bits[target] == 0 else -2.0 * factor.gamma
-    core = [FlipGate(wire=w) for w in zero_controls]
-    core.append(ControlledRotation(controls=controls, target=target, angle=angle))
-    core.extend(FlipGate(wire=w) for w in reversed(zero_controls))
+    angle = 2.0 * factor.gamma if _bit(current, target, n) == 0 else -2.0 * factor.gamma
+    core = _conjugated(partial(ControlledRotation, angle=angle), current, target, n)
     return mapping + core + list(reversed(mapping))
 
 
@@ -334,74 +324,48 @@ def expand_network(gates):
     out = []
     for g in gates:
         if isinstance(g, (ControlledRotation, ControlledFlip)) and len(g.controls) == 2:
-            core = ry_matrix(g.angle) if isinstance(g, ControlledRotation) else _SIGMA_X
             wires = (g.controls[0], g.controls[1], g.target)
-            out.extend(decompose_doubly_controlled(core, wires))
+            out.extend(decompose_doubly_controlled(g.core, wires))
         else:
             out.append(g)
     return out
 
 
-def _gate_matrix(gate, n):
-    dim = 2**n
-    if isinstance(gate, RotationGate):
-        return _single_wire(ry_matrix(gate.angle), gate.wire, n)
-    if isinstance(gate, FlipGate):
-        return _single_wire(_SIGMA_X, gate.wire, n)
-    if isinstance(gate, ControlledRotation):
-        return _controlled(ry_matrix(gate.angle), gate.controls, gate.target, n)
-    if isinstance(gate, ControlledFlip):
-        return _controlled(_SIGMA_X, gate.controls, gate.target, n)
-    if isinstance(gate, ControlledUnitary):
-        return _controlled(np.asarray(gate.core), gate.controls, gate.target, n)
-    raise DomainError(f"unknown gate {gate!r}")
-
-
-def _single_wire(u, wire, n):
-    out = np.array([[1.0]])
-    for w in range(n):
-        out = np.kron(out, u if w == wire else np.eye(2))
-    return out
-
-
-def _controlled(u, controls, target, n):
-    dim = 2**n
-    out = np.eye(dim, dtype=complex if np.iscomplexobj(u) else float)
-    tbit = 1 << (n - 1 - target)
-    for idx in range(dim):
-        if idx & tbit:
-            continue
-        if all(idx >> (n - 1 - c) & 1 for c in controls):
-            lo, hi = idx, idx | tbit
-            out[lo, lo], out[lo, hi] = u[0, 0], u[0, 1]
-            out[hi, lo], out[hi, hi] = u[1, 0], u[1, 1]
-    return out
-
-
 def simulate_network(gates, n):
-    """Dense unitary of a gate list, applied left to right."""
+    """Unitary of a gate list, applied left to right.
+
+    Each gate mixes the row pairs (lo, lo | target bit) whose control bits
+    are all 1 with its core.  The result is real unless some core is complex.
+    """
     if n > MAX_WIRES:
         raise ResourceError(f"network simulation limited to {MAX_WIRES} wires, got {n}")
-    out = np.eye(2**n)
-    for g in gates:
-        out = _gate_matrix(g, n) @ out
+    cores = [np.asarray(g.core) for g in gates]
+    complex_core = any(np.iscomplexobj(u) for u in cores)
+    out = np.eye(2**n, dtype=complex if complex_core else float)
+    index = np.arange(2**n)
+    for g, u in zip(gates, cores):
+        tbit = 1 << (n - 1 - g.target)
+        need = sum(1 << (n - 1 - c) for c in g.controls)
+        lo = index[(index & (tbit | need)) == need]
+        hi = lo | tbit
+        a, b = out[lo], out[hi]
+        out[lo] = u[0, 0] * a + u[0, 1] * b
+        out[hi] = u[1, 0] * a + u[1, 1] * b
     return out
 
 
 def network_to_text(gates):
-    """Line-oriented serialization; angles carry 17 significant digits."""
+    """Line-oriented serialization; angles carry 17 significant digits.
+
+    Gates without controls are written ``RY``/``X``, the others ``CR``/``CX``.
+    """
     lines = []
     for g in gates:
-        if isinstance(g, RotationGate):
-            lines.append(f"RY {g.wire} {g.angle:.17g}")
-        elif isinstance(g, FlipGate):
-            lines.append(f"X {g.wire}")
-        elif isinstance(g, ControlledRotation):
-            ctrls = " ".join(str(c) for c in g.controls)
-            lines.append(f"CR {ctrls} {g.target} {g.angle:.17g}")
+        wires = " ".join(str(w) for w in (*g.controls, g.target))
+        if isinstance(g, ControlledRotation):
+            lines.append(f"{'CR' if g.controls else 'RY'} {wires} {g.angle:.17g}")
         elif isinstance(g, ControlledFlip):
-            ctrls = " ".join(str(c) for c in g.controls)
-            lines.append(f"CX {ctrls} {g.target}")
+            lines.append(f"{'CX' if g.controls else 'X'} {wires}")
         else:
             raise DomainError(f"gate {g!r} has no text form")
     return "\n".join(lines) + "\n"
@@ -415,11 +379,7 @@ def network_from_text(text):
             continue
         parts = line.split()
         kind = parts[0]
-        if kind == "RY":
-            gates.append(RotationGate(wire=int(parts[1]), angle=float(parts[2])))
-        elif kind == "X":
-            gates.append(FlipGate(wire=int(parts[1])))
-        elif kind == "CR":
+        if kind in ("RY", "CR"):
             gates.append(
                 ControlledRotation(
                     controls=tuple(int(c) for c in parts[1:-2]),
@@ -427,7 +387,7 @@ def network_from_text(text):
                     angle=float(parts[-1]),
                 )
             )
-        elif kind == "CX":
+        elif kind in ("X", "CX"):
             gates.append(
                 ControlledFlip(
                     controls=tuple(int(c) for c in parts[1:-1]), target=int(parts[-1])

@@ -256,14 +256,8 @@ def test_solve_uses_analytic_duration(g, delta, nu):
 
 
 def _controlled_from_gate(gate):
-    if isinstance(gate, syn.ControlledRotation):
-        core = syn.ry_matrix(gate.angle).astype(complex)
-    elif isinstance(gate, syn.ControlledFlip):
-        core = SIGMA_X
-    else:
-        core = np.asarray(gate.core, dtype=complex)
     out = np.eye(4, dtype=complex)
-    out[2:, 2:] = core
+    out[2:, 2:] = gate.core
     return out
 
 

@@ -221,3 +221,33 @@ def test_gatecheck_zero_detuning(capsys):
     status, _, err = _run(capsys, "gatecheck", "--delta", "0")
     assert status == 2
     assert "detuning" in err
+
+
+@pytest.mark.parametrize("n_spec", ["3,a", "3,"])
+def test_sweep_bad_block_list_is_a_domain_error(capsys, n_spec):
+    status, _, err = _run(capsys, "sweep", "--n", n_spec, "--grid", "0:1:0.5")
+    assert status == 2
+    assert "--n" in err
+
+
+def test_threshold_nan_tolerance_is_a_domain_error(capsys):
+    status, out, err = _run(capsys, "threshold", "--n", "3", "--tol", "nan")
+    assert status == 2
+    assert out == ""
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--delta", "inf"), "finite"),
+        (("--nu", "inf"), "finite"),
+        (("--g", "nan"), "finite"),
+        (("--g", "1e-200"), "underflows"),
+    ],
+)
+def test_gatecheck_non_finite_or_degenerate_is_a_domain_error(capsys, argv, message):
+    status, out, err = _run(capsys, "gatecheck", *argv)
+    assert status == 2
+    assert out == ""
+    assert message in err

@@ -1,0 +1,71 @@
+"""Property test: the row-pair simulator against dense gate matrices.
+
+Each gate ``(controls, target, core)`` is rebuilt here as
+I - P + P (x) core, where P projects the control wires onto 1, from
+Kronecker products of one-wire factors; the network unitary is the product
+of those matrices.
+"""
+
+import numpy as np
+import pytest
+
+from srmchannel import synthesis as syn
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_P1 = np.diag([0.0, 1.0])
+_ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+
+
+def _kron(factors):
+    out = np.array([[1.0]])
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def _dense(gate, n):
+    core = np.asarray(gate.core)
+    eye = np.eye(2)
+    proj = [_P1 if w in gate.controls else eye for w in range(n)]
+    applied = [core if w == gate.target else proj[w] for w in range(n)]
+    return np.eye(2**n) - _kron(proj) + _kron(applied)
+
+
+def _unitary_core(alpha, beta, gamma, delta):
+    rz_beta, rz_delta = (np.diag(np.exp([-0.5j * t, 0.5j * t])) for t in (beta, delta))
+    return np.exp(1j * alpha) * rz_beta @ syn.ry_matrix(gamma) @ rz_delta
+
+
+@st.composite
+def _networks(draw):
+    n = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 20))):
+        target = draw(st.integers(0, n - 1))
+        others = [w for w in range(n) if w != target]
+        controls = tuple(w for w in others if draw(st.booleans()))
+        kind = draw(st.sampled_from(("rotation", "flip", "unitary")))
+        if kind == "rotation":
+            gates.append(syn.ControlledRotation(controls, target, draw(_ANGLE)))
+        elif kind == "flip":
+            gates.append(syn.ControlledFlip(controls, target))
+        else:
+            core = _unitary_core(*(draw(_ANGLE) for _ in range(4)))
+            gates.append(syn.ControlledUnitary(controls, target, core))
+    return n, gates
+
+
+@settings(max_examples=60, deadline=None)
+@given(_networks())
+def test_simulator_matches_dense_gate_product(network):
+    n, gates = network
+    u = syn.simulate_network(gates, n)
+    ref = np.eye(2**n)
+    for g in gates:
+        ref = _dense(g, n) @ ref
+    assert np.max(np.abs(u - ref)) < 1e-12
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-12
+    if not any(isinstance(g, syn.ControlledUnitary) for g in gates):
+        assert not np.iscomplexobj(u)

@@ -147,7 +147,7 @@ def test_factor_gates_single_bit_pair():
     # indices differing in one bit need no mapping gates
     f = syn.TwoLevelFactor(i=4, j=6, gamma=0.45)  # 100 vs 110
     gates = syn.factor_to_gates(f, 3)
-    assert sum(isinstance(g, syn.ControlledFlip) for g in gates) == 0
+    assert sum(isinstance(g, syn.ControlledFlip) and bool(g.controls) for g in gates) == 0
     u = syn.simulate_network(gates, 3)
     assert np.max(np.abs(u - f.matrix(8))) < 1e-10
 
@@ -172,7 +172,8 @@ def test_decompose_doubly_controlled_rotation():
     core = syn.ry_matrix(0.8)
     net = syn.decompose_doubly_controlled(core)
     u = syn.simulate_network(net, 3)
-    ref = syn._controlled(core, (0, 1), 2, 3)
+    ref = np.eye(8)
+    ref[6:8, 6:8] = core
     assert np.max(np.abs(u - ref)) < 1e-10
 
 
@@ -203,7 +204,7 @@ def test_expand_network_matches_original(block3):
 
 def test_simulate_network_basics():
     assert np.array_equal(syn.simulate_network([], 2), np.eye(4))
-    u = syn.simulate_network([syn.FlipGate(wire=0)], 1)
+    u = syn.simulate_network([syn.ControlledFlip(controls=(), target=0)], 1)
     assert np.array_equal(u, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ResourceError):
         syn.simulate_network([], 13)
