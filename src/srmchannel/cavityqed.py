@@ -277,10 +277,11 @@ def solve_sequence_params(g, delta, nu):
         raise DomainError(f"g_eff = g^2/delta underflows to zero for g = {g}, delta = {delta}")
     t = np.pi / (4.0 * abs(g_eff))
     tau_prime = 2.0 * np.pi / nu
-    # phase relation: nu (tau - tau')/2 = nu t / 2 + g_eff t / 2 (mod 2 pi)
+    # phase relation: nu (tau - tau')/2 = nu t / 2 + g_eff t / 2 (mod 2 pi);
+    # |g_eff t| = pi/4 makes tau >= 7 pi / (4 nu) + t > 0
     tau = tau_prime + t + g_eff * t / nu
-    while tau <= 0:
-        tau += 4.0 * np.pi / nu
+    if not np.all(np.isfinite((t, tau_prime, tau))):
+        raise DomainError(f"pulse durations overflow: t = {t}, tau' = {tau_prime}, tau = {tau}")
     params = PulseParams(
         g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime,
         eps_abs=np.pi / (4.0 * tau), eps_prime_abs=np.pi / (4.0 * tau_prime), t=t,

@@ -4,8 +4,7 @@ Bit convention: ``0`` encodes the ``plus`` letter, ``1`` the ``minus``
 letter.  Words are kept as bitstrings in a fixed order so that Gram and
 channel matrices are reproducible bit-for-bit.  Because all codewords are
 products of two letter states with real overlap ``kappa``, the Gram matrix
-entry for two words is ``kappa`` raised to their Hamming distance; the
-explicit tensor-product route is retained for cross-validation.
+entry for two words is ``kappa`` raised to their Hamming distance.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +21,6 @@ __all__ = [
     "full_codebook",
     "codeword_vector",
     "gram_matrix",
-    "gram_matrix_from_vectors",
     "hamming_distance",
     "is_linear",
     "save_codebook",
@@ -124,12 +122,6 @@ def gram_matrix(codebook, kappa):
         xor >>= np.uint64(1)
     gram = np.where(distances == 0, 1.0, kappa**distances.astype(float))
     return gram
-
-
-def gram_matrix_from_vectors(codebook, kappa):
-    """Gram matrix from explicit 2**n-dimensional inner products (cross-check path)."""
-    vecs = np.column_stack([codeword_vector(w, kappa) for w in codebook.words])
-    return vecs.T @ vecs
 
 
 def is_linear(codebook):

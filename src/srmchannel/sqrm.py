@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from . import binary_channel, codebook as cb_mod
+from . import codebook as cb_mod
 from .exceptions import (
     ConsistencyError,
     DegenerateInputError,
@@ -33,7 +33,6 @@ __all__ = [
     "fast_srm_summary",
     "even_weight_summary",
     "srm_vectors",
-    "product_decoding_information",
     "fwht",
 ]
 
@@ -271,17 +270,3 @@ def even_weight_summary(n, kappa):
     q = (row / 2.0**n) ** 2
     multiplicity = np.array([comb(n, int(v)) for v in w], dtype=float)
     return _symmetric_summary(q, multiplicity, 2 ** (n - 1))
-
-
-def product_decoding_information(n, kappa):
-    """Mutual information of the full 2**n product ensemble decoded by the
-    product of single-letter optimal measurements.  Additive: equals n * C1."""
-    if n < 1:
-        raise DomainError(f"block length must be >= 1, got {n}")
-    p = binary_channel.crossover_probability(kappa)
-    p1 = np.array([[1.0 - p, p], [p, 1.0 - p]])
-    pn = np.array([[1.0]])
-    for _ in range(n):
-        pn = np.kron(pn, p1)
-    priors = np.full(2**n, 1.0 / 2**n)
-    return mutual_information(priors, pn)

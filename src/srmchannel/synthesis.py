@@ -71,14 +71,6 @@ class TwoLevelFactor:
     j: int
     gamma: float
 
-    def matrix(self, dim):
-        t = np.eye(dim)
-        c, s = np.cos(self.gamma), np.sin(self.gamma)
-        t[self.i, self.i] = t[self.j, self.j] = c
-        t[self.i, self.j] = -s
-        t[self.j, self.i] = s
-        return t
-
 
 @dataclass(frozen=True)
 class ControlledRotation:
@@ -199,10 +191,15 @@ def two_level_decompose(v, omit_below=1e-12):
 
 
 def recompose(d, factors, dim):
-    """Product D * T_1 * ... * T_K for verification."""
+    """Product D * T_1 * ... * T_K for verification.
+
+    Each factor mixes only columns i and j of the running product.
+    """
     out = np.diag(np.asarray(d, dtype=float))
     for f in factors:
-        out = out @ f.matrix(dim)
+        c, s = np.cos(f.gamma), np.sin(f.gamma)
+        ci, cj = out[:, f.i], out[:, f.j]
+        out[:, f.i], out[:, f.j] = c * ci + s * cj, c * cj - s * ci
     return out
 
 
@@ -334,24 +331,31 @@ def expand_network(gates):
 def simulate_network(gates, n):
     """Unitary of a gate list, applied left to right.
 
-    Each gate mixes the row pairs (lo, lo | target bit) whose control bits
-    are all 1 with its core.  The result is real unless some core is complex.
+    Row r of the product is kept at row r ^ frame, so an uncontrolled flip
+    only toggles its target bit in ``frame``.  Every other gate mixes the row
+    pairs (lo, lo ^ target bit) whose control bits are all 1 with its core.
+    The result is real unless some ControlledUnitary core is complex.
     """
     if n > MAX_WIRES:
         raise ResourceError(f"network simulation limited to {MAX_WIRES} wires, got {n}")
-    cores = [np.asarray(g.core) for g in gates]
-    complex_core = any(np.iscomplexobj(u) for u in cores)
+    complex_core = any(isinstance(g, ControlledUnitary) and np.iscomplexobj(g.core)
+                       for g in gates)
     out = np.eye(2**n, dtype=complex if complex_core else float)
     index = np.arange(2**n)
-    for g, u in zip(gates, cores):
+    frame = 0
+    for g in gates:
         tbit = 1 << (n - 1 - g.target)
+        if not g.controls and isinstance(g, ControlledFlip):
+            frame ^= tbit
+            continue
         need = sum(1 << (n - 1 - c) for c in g.controls)
-        lo = index[(index & (tbit | need)) == need]
-        hi = lo | tbit
+        lo = index[(index & (tbit | need)) == need] ^ frame
+        hi = lo ^ tbit
+        u = np.asarray(g.core)
         a, b = out[lo], out[hi]
         out[lo] = u[0, 0] * a + u[0, 1] * b
         out[hi] = u[1, 0] * a + u[1, 1] * b
-    return out
+    return out[index ^ frame]
 
 
 def network_to_text(gates):

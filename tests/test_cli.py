@@ -244,6 +244,8 @@ def test_threshold_nan_tolerance_is_a_domain_error(capsys):
         (("--nu", "inf"), "finite"),
         (("--g", "nan"), "finite"),
         (("--g", "1e-200"), "underflows"),
+        (("--g", "1e-160"), "overflow"),
+        (("--nu", "1e-320"), "overflow"),
     ],
 )
 def test_gatecheck_non_finite_or_degenerate_is_a_domain_error(capsys, argv, message):

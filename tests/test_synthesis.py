@@ -14,6 +14,16 @@ X_DIAG_08 = 0.8772001872658766
 PE_08 = 0.2305198314607111
 
 
+def _factor_matrix(f, dim):
+    """Dense dim x dim matrix of a two-level rotation (reference for recompose)."""
+    t = np.eye(dim)
+    c, s = np.cos(f.gamma), np.sin(f.gamma)
+    t[f.i, f.i] = t[f.j, f.j] = c
+    t[f.i, f.j] = -s
+    t[f.j, f.i] = s
+    return t
+
+
 @pytest.fixture(scope="module")
 def block3():
     return cb.even_weight_codebook(3)
@@ -143,20 +153,31 @@ def test_two_level_block3(block3):
     assert np.max(np.abs(syn.recompose(d, factors, 8) - v)) < 1e-10
 
 
+def test_recompose_matches_dense_factor_product():
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    d, factors = syn.two_level_decompose(q)
+    ref = np.diag(d)
+    for f in factors:
+        ref = ref @ _factor_matrix(f, 16)
+    assert len(factors) > 100
+    assert np.max(np.abs(syn.recompose(d, factors, 16) - ref)) < 1e-13
+
+
 def test_factor_gates_single_bit_pair():
     # indices differing in one bit need no mapping gates
     f = syn.TwoLevelFactor(i=4, j=6, gamma=0.45)  # 100 vs 110
     gates = syn.factor_to_gates(f, 3)
     assert sum(isinstance(g, syn.ControlledFlip) and bool(g.controls) for g in gates) == 0
     u = syn.simulate_network(gates, 3)
-    assert np.max(np.abs(u - f.matrix(8))) < 1e-10
+    assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
 
 
 def test_factor_gates_antipodal_pair():
     # 010 vs 101: the mapping block carries the pair onto neighbours
     f = syn.TwoLevelFactor(i=2, j=5, gamma=0.3)
     u = syn.simulate_network(syn.factor_to_gates(f, 3), 3)
-    assert np.max(np.abs(u - f.matrix(8))) < 1e-10
+    assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -165,7 +186,7 @@ def test_factor_gates_random(seed):
     i, j = sorted(rng.choice(8, size=2, replace=False))
     f = syn.TwoLevelFactor(i=int(i), j=int(j), gamma=float(rng.uniform(-np.pi, np.pi)))
     u = syn.simulate_network(syn.factor_to_gates(f, 3), 3)
-    assert np.max(np.abs(u - f.matrix(8))) < 1e-10
+    assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
 
 
 def test_decompose_doubly_controlled_rotation():
