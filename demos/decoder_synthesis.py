@@ -35,7 +35,7 @@ print()
 # two-level factorization
 # ------------------------------------------------------------------
 print(f"{len(factors)} two-level rotations; residual diagonal {d}")
-recomposed = syn.recompose(d, factors, 8)
+recomposed = syn.recompose(d, factors)
 print(f"recomposition error        = {np.max(np.abs(recomposed - v)):.1e}")
 print()
 

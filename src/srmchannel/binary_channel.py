@@ -7,7 +7,9 @@ binary symmetric channel, the one-shot capacity, the optimal von Neumann
 measurement, and the von Neumann entropy of the input ensemble (the upper
 bound on accessible information per letter).
 
-All entropies are in bits.  The convention ``0 * log2(0) == 0`` is used
+The scalar quantities are elementwise in ``kappa``: an array of overlaps
+gives an array of values, and a scalar gives an ``np.float64``.  All
+entropies are in bits.  The convention ``0 * log2(0) == 0`` is used
 throughout.
 """
 
@@ -25,11 +27,17 @@ __all__ = [
 ]
 
 
+def _unit_interval(values, what):
+    """``values`` as a float array; DomainError naming the first one outside [0, 1]."""
+    values = np.asarray(values, dtype=float)
+    bad = ~((0.0 <= values) & (values <= 1.0))
+    if bad.any():
+        raise DomainError(f"{what} must lie in [0, 1], got {values[bad][0]}")
+    return values
+
+
 def _check_kappa(kappa):
-    kappa = float(kappa)
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {kappa}")
-    return kappa
+    return _unit_interval(kappa, "overlap")
 
 
 def _check_priors(priors):
@@ -43,12 +51,10 @@ def _check_priors(priors):
 
 def binary_entropy(p):
     """H(p) in bits, with the 0*log(0) = 0 convention."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability out of range: {p}")
-    h = 0.0
-    if 0.0 < p < 1.0:
-        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return float(h)
+    p = _unit_interval(p, "probability")
+    inside = (0.0 < p) & (p < 1.0)
+    q = np.where(inside, p, 0.5)
+    return np.where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)[()]
 
 
 def letter_states(kappa):
@@ -57,7 +63,7 @@ def letter_states(kappa):
     Returns ``(plus, minus)`` as real unit vectors with
     ``plus @ minus == kappa`` exactly by construction.
     """
-    kappa = _check_kappa(kappa)
+    kappa = float(_check_kappa(kappa))
     plus = np.array([1.0, 0.0])
     minus = np.array([kappa, np.sqrt(max(0.0, 1.0 - kappa * kappa))])
     return plus, minus
@@ -67,15 +73,14 @@ def crossover_probability(kappa):
     """Crossover probability p = (1 - sqrt(1 - kappa^2)) / 2 of the induced
     binary symmetric channel; also the single-letter minimum error probability."""
     kappa = _check_kappa(kappa)
-    return 0.5 * (1.0 - np.sqrt(max(0.0, 1.0 - kappa * kappa)))
+    return 0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - kappa * kappa)))
 
 
 def capacity_c1(kappa):
     """One-shot capacity C1 = 1 - H(p) in bits."""
     kappa = _check_kappa(kappa)
-    if kappa == 1.0:
-        return 0.0
-    return 1.0 - binary_entropy(crossover_probability(kappa))
+    c1 = 1.0 - binary_entropy(crossover_probability(kappa))
+    return np.where(kappa == 1.0, 0.0, c1)[()]
 
 
 def optimal_measurement(kappa):
@@ -86,7 +91,7 @@ def optimal_measurement(kappa):
     ``P(j|i) = (omega_j @ s_i)**2`` is the binary symmetric channel with
     crossover :func:`crossover_probability`.
     """
-    kappa = _check_kappa(kappa)
+    kappa = float(_check_kappa(kappa))
     if kappa == 1.0:
         raise DegenerateInputError("identical letter states: no measurement distinguishes them")
     plus, minus = letter_states(kappa)
@@ -103,16 +108,12 @@ def holevo_limit(kappa, priors=(0.5, 0.5)):
     """Von Neumann entropy of the letter ensemble, in bits.
 
     This is the upper bound on accessible information per letter for the
-    given priors.  For uniform priors the density-matrix eigenvalues are
-    ``(1 +/- kappa) / 2``.
+    given priors.  The density matrix ``p0 |plus><plus| + p1 |minus><minus|``
+    has trace 1 and determinant ``p0 p1 (1 - kappa^2)``, so its eigenvalues
+    are ``(1 +/- r) / 2`` with ``r = sqrt(1 - 4 p0 p1 (1 - kappa^2))``, and
+    its entropy is the binary entropy of the smaller one.
     """
     kappa = _check_kappa(kappa)
     priors = _check_priors(priors)
-    plus, minus = letter_states(kappa)
-    rho = priors[0] * np.outer(plus, plus) + priors[1] * np.outer(minus, minus)
-    eigs = np.linalg.eigvalsh(rho)
-    h = 0.0
-    for lam in eigs:
-        if lam > 0.0:
-            h -= lam * np.log2(lam)
-    return float(h)
+    r = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * priors[0] * priors[1] * (1.0 - kappa * kappa)))
+    return binary_entropy(0.5 * (1.0 - r))

@@ -75,19 +75,16 @@ def _emit(text, out):
 
 def _cmd_c1(args):
     if args.kappa is not None:
-        grid = [args.kappa]
+        kappa = np.array([args.kappa])
     else:
-        grid = _parse_grid(args.grid)
-    rows = []
-    for kappa in grid:
-        rows.append(
-            (
-                kappa,
-                binary_channel.crossover_probability(kappa),
-                binary_channel.capacity_c1(kappa),
-                binary_channel.holevo_limit(kappa),
-            )
-        )
+        kappa = np.array(_parse_grid(args.grid))
+    columns = (
+        kappa,
+        binary_channel.crossover_probability(kappa),
+        binary_channel.capacity_c1(kappa),
+        binary_channel.holevo_limit(kappa),
+    )
+    rows = list(zip(*(c.tolist() for c in columns)))
     if args.json:
         lines = [
             json.dumps({"kappa": k, "p": p, "c1": c, "holevo": h})
@@ -140,8 +137,7 @@ def _cmd_synthesize(args):
         )
     book = cb_mod.even_weight_codebook(args.n)
     v, d, factors, gates = synthesis.decoder_network(book, args.kappa)
-    dim = 2**args.n
-    recomposed = synthesis.recompose(d, factors, dim)
+    recomposed = synthesis.recompose(d, factors)
     if np.max(np.abs(recomposed - v)) > 1e-10:
         print("verification failed: two-level recomposition mismatch", file=sys.stderr)
         return EXIT_VERIFY

@@ -15,6 +15,7 @@ from math import comb
 import numpy as np
 
 from . import codebook as cb_mod
+from .binary_channel import _check_kappa
 from .exceptions import (
     ConsistencyError,
     DegenerateInputError,
@@ -102,9 +103,7 @@ def _closed_form_x(kappa):
 def i3_closed_form(kappa):
     """Mutual information of the block-3 even-weight code under SRM decoding,
     from the closed-form channel-matrix entries.  In bits."""
-    kappa = float(kappa)
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {kappa}")
+    kappa = float(_check_kappa(kappa))
     xd, xo = _closed_form_x(kappa)
     a, b = xd**2, xo**2
     info = 2.0
@@ -214,15 +213,18 @@ def xor_fast_path(codebook, kappa):
 def _symmetric_summary(q, multiplicity, m):
     """(information, error probability) of a symmetric M-ary SRM channel.
 
-    ``q[c]`` is the probability of each of the ``multiplicity[c]`` outputs in
-    class c given any input; class 0 is the correct output alone.
+    ``q[..., c]`` is the probability of each of the ``multiplicity[c]``
+    outputs in class c given any input; class 0 is the correct output alone.
+    Leading axes of ``q`` carry independent channels.
     """
-    total = multiplicity @ q
-    if abs(total - 1.0) > 1e-8:
-        raise ConsistencyError(f"fast-path probabilities sum to {total}")
+    total = q @ multiplicity
+    bad = np.abs(total - 1.0) > 1e-8
+    if bad.any():
+        raise ConsistencyError(f"fast-path probabilities sum to {total[bad][0]}")
     mask = q > 0.0
-    info = np.log2(m) + np.sum(multiplicity[mask] * q[mask] * np.log2(q[mask]))
-    return float(info), float(1.0 - q[0])
+    terms = np.where(mask, multiplicity * q * np.log2(np.where(mask, q, 1.0)), 0.0)
+    info = np.log2(m) + np.sum(terms, axis=-1)
+    return info[()], (1.0 - q[..., 0])[()]
 
 
 def fast_srm_summary(codebook, kappa):
@@ -241,32 +243,33 @@ def fast_srm_summary(codebook, kappa):
 
 
 def even_weight_summary(n, kappa):
-    """Mutual information and error probability of the even-weight code, O(n^2).
+    """Mutual information and error probability of the even-weight code, O(n^2)
+    per overlap.
 
     The Gram eigenvalue of the character u depends only on k = weight(u),
     ``lambda_k = [(1+kappa)^(n-k) (1-kappa)^k + (1-kappa)^(n-k) (1+kappa)^k] / 2``,
     so the principal-root entry between two codewords at distance w is the
     Krawtchouk sum ``2^-n sum_k sqrt(lambda_k) K_k(w)`` (MacWilliams and
     Sloane, ch. 5).  Returns ``(information_bits, error_probability)`` like
-    :func:`fast_srm_summary` on :func:`codebook.even_weight_codebook`.
+    :func:`fast_srm_summary` on :func:`codebook.even_weight_codebook`, each
+    with the shape of ``kappa``.
     """
     if n < 2:
         raise DomainError(f"block length must be >= 2, got {n}")
     cb_mod._check_block_length(n)
-    kappa = float(kappa)
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {kappa}")
+    kappa = _check_kappa(kappa)[..., None]
     k = np.arange(n + 1)
     a, b = 1.0 + kappa, 1.0 - kappa
     roots = np.sqrt(0.5 * (a ** (n - k) * b**k + b ** (n - k) * a**k))
     w = np.arange(0, n + 1, 2)
     # K_0 = 1, K_1 = n - 2w, (j+1) K_{j+1} = (n-2w) K_j - (n-j+1) K_{j-1}:
     # all values are integers far below 2**53, so the recurrence is exact.
+    # They do not depend on kappa, which broadcasts along the leading axes.
     prev, cur = np.ones(len(w)), n - 2.0 * w
-    row = roots[0] * prev + roots[1] * cur
+    row = roots[..., 0, None] * prev + roots[..., 1, None] * cur
     for j in range(1, n):
         prev, cur = cur, ((n - 2.0 * w) * cur - (n - j + 1) * prev) / (j + 1)
-        row += roots[j + 1] * cur
+        row += roots[..., j + 1, None] * cur
     q = (row / 2.0**n) ** 2
     multiplicity = np.array([comb(n, int(v)) for v in w], dtype=float)
     return _symmetric_summary(q, multiplicity, 2 ** (n - 1))

@@ -2,9 +2,10 @@
 
 The margin at block length n is the per-letter SRM information of the
 even-weight code minus the one-shot capacity; it turns positive on an
-interval adjoining ``kappa = 1`` once n >= 3.  Sweeps emit plot-ready CSV
-tables; the threshold finder brackets the sign change by a coarse scan and
-refines it by bisection.
+interval adjoining ``kappa = 1`` once n >= 3.  Margins and block summaries
+are elementwise in ``kappa``, so a sweep table takes one engine call per
+block length.  Sweeps emit plot-ready CSV tables; the threshold finder
+brackets the sign change by a coarse scan and refines it by bisection.
 """
 
 import io
@@ -53,35 +54,42 @@ class ThresholdResult:
     bracket_width: float
 
 
+def _check_block(n, codebook_choice):
+    if codebook_choice not in ("even", "alt"):
+        raise DomainError(f"unknown codebook choice {codebook_choice!r}")
+    if n < 2:
+        raise DomainError(f"block length must be >= 2, got {n}")
+    if codebook_choice == "alt" and n != 3:
+        raise DomainError("the alternative codebook exists only at block length 3")
+    cb_mod._check_block_length(n)
+
+
 def _block_summary(n, kappa, codebook_choice="even"):
-    """(information, block error probability) for the chosen codebook."""
+    """(information, block error probability) for the chosen codebook, each
+    with the shape of ``kappa``."""
+    _check_block(n, codebook_choice)
+    kappa = binary_channel._check_kappa(kappa)
     if codebook_choice == "even":
-        if kappa in (0.0, 1.0):
-            # Exact endpoints: noiseless distance-2 code / identical codewords.
-            return (float(n - 1), 0.0) if kappa == 0.0 else (0.0, 1.0 - 2.0 ** (1 - n))
-        return sqrm.even_weight_summary(n, kappa)
-    if codebook_choice == "alt":
-        if n != 3:
-            raise DomainError("the alternative codebook exists only at block length 3")
-        book = cb_mod.alternative_codebook()
-        x = sqrm.principal_sqrt(cb_mod.gram_matrix(book, kappa))
-        p = sqrm.conditional_probabilities(x)
-        info = sqrm.mutual_information(book.priors, p)
-        return info, sqrm.average_error_probability(book.priors, x)
-    raise DomainError(f"unknown codebook choice {codebook_choice!r}")
+        info, pe = sqrm.even_weight_summary(n, kappa)
+        # Exact endpoints: noiseless distance-2 code / identical codewords.
+        info = np.where(kappa == 0.0, float(n - 1), np.where(kappa == 1.0, 0.0, info))
+        pe = np.where(kappa == 0.0, 0.0, np.where(kappa == 1.0, 1.0 - 2.0 ** (1 - n), pe))
+        return info[()], pe[()]
+    book = cb_mod.alternative_codebook()
+    info, pe = np.empty_like(kappa), np.empty_like(kappa)
+    for i, k in np.ndenumerate(kappa):
+        x = sqrm.principal_sqrt(cb_mod.gram_matrix(book, k))
+        info[i] = sqrm.mutual_information(book.priors, sqrm.conditional_probabilities(x))
+        pe[i] = sqrm.average_error_probability(book.priors, x)
+    return info[()], pe[()]
 
 
 def superadditivity_margin(n, kappa, codebook_choice="even"):
-    """Per-letter SRM information minus C1, in bits."""
-    if n < 2:
-        raise DomainError(f"block length must be >= 2, got {n}")
-    kappa = float(kappa)
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {kappa}")
-    if kappa == 1.0:
-        return 0.0
+    """Per-letter SRM information minus C1, in bits; elementwise in ``kappa``."""
     info, _ = _block_summary(n, kappa, codebook_choice)
-    return info / n - binary_channel.capacity_c1(kappa)
+    kappa = np.asarray(kappa, dtype=float)
+    margin = info / n - binary_channel.capacity_c1(kappa)
+    return np.where(kappa == 1.0, 0.0, margin)[()]
 
 
 def threshold_kappa(n, tolerance=1e-4, codebook_choice="even"):
@@ -94,15 +102,11 @@ def threshold_kappa(n, tolerance=1e-4, codebook_choice="even"):
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     grid = np.arange(_SCAN_STEP, _KAPPA_CEIL + 1e-12, _SCAN_STEP)
-    margins = [superadditivity_margin(n, k, codebook_choice) for k in grid]
-    bracket = None
-    for i in range(len(grid) - 1, 0, -1):
-        if margins[i] > 0.0 and margins[i - 1] <= 0.0:
-            bracket = (grid[i - 1], grid[i])
-            break
-    if bracket is None:
+    margins = superadditivity_margin(n, grid, codebook_choice)
+    onsets = np.flatnonzero((margins[1:] > 0.0) & (margins[:-1] <= 0.0))
+    if not onsets.size:
         return ThresholdResult(n=n, kappa_star=None, bracket_width=_SCAN_STEP)
-    lo, hi = bracket
+    lo, hi = grid[onsets[-1]], grid[onsets[-1] + 1]
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
         if superadditivity_margin(n, mid, codebook_choice) > 0.0:
@@ -113,30 +117,23 @@ def threshold_kappa(n, tolerance=1e-4, codebook_choice="even"):
 
 
 def sweep_table(n_list, kappa_grid, codebook_choice="even"):
-    """One :class:`SweepRow` per (n, kappa), n outer, kappa inner."""
+    """One :class:`SweepRow` per (n, kappa), n outer, kappa inner.
+
+    Every block length and overlap is checked before the first row is
+    computed; each block length then takes one call of the engine.
+    """
+    for n in n_list:
+        _check_block(n, codebook_choice)
+    kappa = binary_channel._check_kappa(kappa_grid)
+    c1 = binary_channel.capacity_c1(kappa)
+    p_single = binary_channel.crossover_probability(kappa)
+    holevo = binary_channel.holevo_limit(kappa)
     rows = []
     for n in n_list:
-        if n < 2:
-            raise DomainError(f"block length must be >= 2, got {n}")
-        for kappa in kappa_grid:
-            kappa = float(kappa)
-            if not 0.0 <= kappa <= 1.0:
-                raise DomainError(f"overlap must lie in [0, 1], got {kappa}")
-            info, pe = _block_summary(n, kappa, codebook_choice)
-            c1 = binary_channel.capacity_c1(kappa)
-            per_letter = info / n
-            rows.append(
-                SweepRow(
-                    n=n,
-                    kappa=kappa,
-                    c1=c1,
-                    per_letter_info=per_letter,
-                    margin=per_letter - c1,
-                    pe_block=pe,
-                    p_single=binary_channel.crossover_probability(kappa),
-                    holevo=binary_channel.holevo_limit(kappa),
-                )
-            )
+        info, pe = _block_summary(n, kappa, codebook_choice)
+        per_letter = info / n
+        columns = (kappa, c1, per_letter, per_letter - c1, pe, p_single, holevo)
+        rows += [SweepRow(n, *values) for values in zip(*(c.tolist() for c in columns))]
     return rows
 
 
@@ -144,7 +141,7 @@ def error_rate_comparison(n, kappa, codebook_choice="even"):
     """Block-coded SRM error probability versus the single-letter one."""
     _, pe = _block_summary(n, kappa, codebook_choice)
     p_single = binary_channel.crossover_probability(kappa)
-    return {"pe_block": pe, "p_single": p_single, "degraded": bool(pe > p_single)}
+    return {"pe_block": pe, "p_single": p_single, "degraded": pe > p_single}
 
 
 def _fmt(value):

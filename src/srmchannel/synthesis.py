@@ -190,7 +190,7 @@ def two_level_decompose(v, omit_below=1e-12):
     return d, factors
 
 
-def recompose(d, factors, dim):
+def recompose(d, factors):
     """Product D * T_1 * ... * T_K for verification.
 
     Each factor mixes only columns i and j of the running product.

@@ -128,7 +128,7 @@ def test_criterion_09_decoder_synthesis():
         ok &= np.max(np.abs(amps**2 - np.diag(x) ** 2)) < 1e-10
         pe = syn.error_probability_via_v(v, book3, kappa)
         ok &= abs(pe - sqrm.average_error_probability(book3.priors, x)) < 1e-10
-        ok &= np.max(np.abs(syn.recompose(d, factors, 8) - v)) < 1e-10
+        ok &= np.max(np.abs(syn.recompose(d, factors) - v)) < 1e-10
         ok &= np.max(np.abs(syn.simulate_network(gates, 3) - v)) < 1e-9
     _report(9, "synthesis chain verified at kappa = 0.5, 0.8", bool(ok))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import holevo_limit_dense
 from srmchannel import binary_channel as bc
 from srmchannel.exceptions import DegenerateInputError, DomainError
 
@@ -113,6 +114,14 @@ def test_holevo_limit(kappa, priors, expected):
     assert bc.holevo_limit(kappa, priors) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("priors", [(0.5, 0.5), (0.2, 0.8), (0.9, 0.1)])
+def test_holevo_closed_form_matches_density_matrix(priors):
+    grid = np.linspace(0.0, 1.0, 101)
+    closed = bc.holevo_limit(grid, priors)
+    dense = np.array([holevo_limit_dense(k, priors) for k in grid])
+    assert np.max(np.abs(closed - dense)) <= 1e-15
+
+
 def test_capacity_below_holevo():
     for kappa in np.linspace(0.0, 0.999, 200):
         c1 = bc.capacity_c1(kappa)
@@ -127,3 +136,12 @@ def test_priors_validation():
         bc.holevo_limit(0.5, (0.2, 0.3))
     with pytest.raises(DomainError):
         bc.holevo_limit(0.5, (-0.1, 1.1))
+
+
+def test_domain_error_names_first_bad_value():
+    with pytest.raises(DomainError, match="got 1.5"):
+        bc.capacity_c1([0.2, 1.5, -1.0])
+    with pytest.raises(DomainError, match="got nan"):
+        bc.holevo_limit(np.array([0.5, np.nan]))
+    with pytest.raises(DomainError, match="probability"):
+        bc.binary_entropy([0.5, -0.25])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from srmchannel import cavityqed as cq, cli, synthesis as syn
+from srmchannel import cavityqed as cq, cli, sqrm, synthesis as syn
 
 
 def _run(capsys, *argv):
@@ -89,6 +89,25 @@ def test_synthesize_refuses_wide_network_before_work(tmp_path, capsys, monkeypat
 def test_threshold_beyond_block_limit(capsys):
     status, _, err = _run(capsys, "threshold", "--n", "21")
     assert status == 4
+    assert "limit" in err
+
+
+@pytest.mark.parametrize("grid", ["0:0:1", "1:1:1"])
+def test_sweep_beyond_block_limit_at_an_endpoint(capsys, grid):
+    status, out, err = _run(capsys, "sweep", "--n", "21", "--grid", grid)
+    assert status == 4
+    assert out == ""
+    assert "limit" in err
+
+
+def test_sweep_refuses_every_block_length_before_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(sqrm, "even_weight_summary", no_work)
+    status, out, err = _run(capsys, "sweep", "--n", "3,21", "--grid", "0:1:0.5")
+    assert status == 4
+    assert out == ""
     assert "limit" in err
 
 

@@ -1,14 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from srmchannel import sweep
-from srmchannel.exceptions import DomainError
+from srmchannel import cli, sweep
+from srmchannel.exceptions import DomainError, ResourceError
 
 # 40-digit reference values (see test_sqrm for the channel-matrix entries).
 MARGIN_3_08 = 0.007167536556507065
 MARGIN_3_05 = -0.07886457185015829
 MARGIN_3_09 = 0.00784899416941147
 PE_3_08 = 0.2305198314607111
+
+# sha256 of the CSV for the paper's two figure grids, as the per-point
+# implementation wrote it before overlaps became an array axis.
+FIGURE_DIGESTS = (
+    ([3], "0:1:0.001", "ef28fe56e657728ad1c469ad14ee931002c93b2de806189e4820f367b9b56d89"),
+    ([5, 7, 9, 11, 13], "0.5:0.99:0.005",
+     "f5f3d11e636cbd7e74a533fdd14795a9878385a7c7f309f7ea97fa5a2c4ce351"),
+)
 
 
 def test_margin_reference_values():
@@ -28,6 +38,25 @@ def test_margin_domain():
         sweep.superadditivity_margin(1, 0.5)
     with pytest.raises(DomainError):
         sweep.superadditivity_margin(3, 1.5)
+
+
+def test_block_length_checked_at_the_endpoints_too():
+    with pytest.raises(ResourceError):
+        sweep.superadditivity_margin(21, 1.0)
+    with pytest.raises(ResourceError):
+        sweep.sweep_table([21], [0.0])
+    with pytest.raises(DomainError):
+        sweep.error_rate_comparison(1, 0.0)
+    with pytest.raises(DomainError):
+        sweep.superadditivity_margin(5, 0.5, codebook_choice="alt")
+    with pytest.raises(DomainError):
+        sweep.superadditivity_margin(3, 0.5, codebook_choice="odd")
+
+
+@pytest.mark.parametrize("ns,spec,digest", FIGURE_DIGESTS)
+def test_figure_tables_byte_identical(ns, spec, digest):
+    text = sweep.rows_to_csv(sweep.sweep_table(ns, cli._parse_grid(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_margin_grid_continuity():

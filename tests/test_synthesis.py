@@ -133,7 +133,7 @@ def test_two_level_single_rotation():
     d, factors = syn.two_level_decompose(v)
     assert len(factors) == 1
     assert factors[0].gamma == pytest.approx(theta) or factors[0].gamma == pytest.approx(-theta)
-    assert np.max(np.abs(syn.recompose(d, factors, 2) - v)) < 1e-12
+    assert np.max(np.abs(syn.recompose(d, factors) - v)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -142,7 +142,7 @@ def test_two_level_random_orthogonal(seed):
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
     d, factors = syn.two_level_decompose(q)
     assert len(factors) <= 28
-    assert np.max(np.abs(syn.recompose(d, factors, 8) - q)) < 1e-10
+    assert np.max(np.abs(syn.recompose(d, factors) - q)) < 1e-10
     # D carries at most one sign flip, on the last state
     assert np.all(d[:-1] == 1.0)
 
@@ -150,7 +150,7 @@ def test_two_level_random_orthogonal(seed):
 def test_two_level_block3(block3):
     v, d, factors, _ = syn.decoder_network(block3, 0.8)
     assert len(factors) <= 28
-    assert np.max(np.abs(syn.recompose(d, factors, 8) - v)) < 1e-10
+    assert np.max(np.abs(syn.recompose(d, factors) - v)) < 1e-10
 
 
 def test_recompose_matches_dense_factor_product():
@@ -161,7 +161,7 @@ def test_recompose_matches_dense_factor_product():
     for f in factors:
         ref = ref @ _factor_matrix(f, 16)
     assert len(factors) > 100
-    assert np.max(np.abs(syn.recompose(d, factors, 16) - ref)) < 1e-13
+    assert np.max(np.abs(syn.recompose(d, factors) - ref)) < 1e-13
 
 
 def test_factor_gates_single_bit_pair():
