@@ -3,9 +3,8 @@
 Two letter states with real overlap ``kappa`` are embedded in the plane as
 ``plus = (1, 0)`` and ``minus = (kappa, sqrt(1 - kappa**2))``.  Every quantity
 below is a closed form in ``kappa``: the crossover probability of the induced
-binary symmetric channel, the one-shot capacity, the optimal von Neumann
-measurement, and the von Neumann entropy of the input ensemble (the upper
-bound on accessible information per letter).
+binary symmetric channel, the one-shot capacity, and the von Neumann entropy
+of the input ensemble (the upper bound on accessible information per letter).
 
 The scalar quantities are elementwise in ``kappa``: an array of overlaps
 gives an array of values, and a scalar gives an ``np.float64``.  All
@@ -15,13 +14,12 @@ throughout.
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, DomainError
+from .exceptions import DomainError
 
 __all__ = [
     "letter_states",
     "crossover_probability",
     "capacity_c1",
-    "optimal_measurement",
     "holevo_limit",
     "binary_entropy",
 ]
@@ -81,27 +79,6 @@ def capacity_c1(kappa):
     kappa = _check_kappa(kappa)
     c1 = 1.0 - binary_entropy(crossover_probability(kappa))
     return np.where(kappa == 1.0, 0.0, c1)[()]
-
-
-def optimal_measurement(kappa):
-    """Orthonormal measurement pair attaining C1.
-
-    Returns ``(omega1, omega2)`` as real unit vectors in the same planar
-    coordinates as :func:`letter_states`.  The induced channel
-    ``P(j|i) = (omega_j @ s_i)**2`` is the binary symmetric channel with
-    crossover :func:`crossover_probability`.
-    """
-    kappa = float(_check_kappa(kappa))
-    if kappa == 1.0:
-        raise DegenerateInputError("identical letter states: no measurement distinguishes them")
-    plus, minus = letter_states(kappa)
-    c = np.sqrt(1.0 - kappa * kappa)
-    a = np.sqrt((1.0 + c) / 2.0)
-    b = np.sqrt((1.0 - c) / (2.0 * (1.0 - kappa * kappa)))
-    d = np.sqrt((1.0 + c) / (2.0 * (1.0 - kappa * kappa)))
-    omega1 = (a + kappa * b) * plus - b * minus
-    omega2 = d * minus + (np.sqrt((1.0 - c) / 2.0) - kappa * d) * plus
-    return omega1, omega2
 
 
 def holevo_limit(kappa, priors=(0.5, 0.5)):

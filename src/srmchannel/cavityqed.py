@@ -1,14 +1,14 @@
 """Cavity-QED primitives and the pulse sequence realizing the two-bit gate.
 
-The physical pieces are: a rotator preparing the letter states, the Ramsey
-zone (classical pump pulse), and the dispersive / resonant limits of the
-atom-cavity Jaynes-Cummings interaction with the photon space truncated to
-{|0>, |1>}.  Composing them in the prescribed order on (control atom,
-target atom, cavity) and conditioning on the cavity returning to vacuum
-yields a two-atom gate in the local-equivalence class of a controlled
-square-root-of-NOT; class membership is certified by the standard pair of
-two-qubit local invariants, not by entrywise comparison, because trailing
-single-atom phases depend on conventions.
+The physical pieces are the Ramsey zone (classical pump pulse) and the
+dispersive / resonant limits of the atom-cavity Jaynes-Cummings
+interaction with the photon space truncated to {|0>, |1>}.  Composing
+them in the prescribed order on (control atom, target atom, cavity) and
+conditioning on the cavity returning to vacuum yields a two-atom gate in
+the local-equivalence class of a controlled square-root-of-NOT; class
+membership is certified by the standard pair of two-qubit local
+invariants, not by entrywise comparison, because trailing single-atom
+phases depend on conventions.
 
 Basis orders: single atom (up, down); atom (x) cavity with the photon
 number fastest; two atoms (x) cavity as (a, b, c) with c fastest.
@@ -22,7 +22,6 @@ from .exceptions import DomainError, ResonanceError, SearchFailureError
 
 __all__ = [
     "PulseParams",
-    "encoder_rotation",
     "ramsey_zone",
     "off_resonant",
     "on_resonant",
@@ -85,23 +84,6 @@ class PulseParams:
             ("t", self.t),
         )
         return "\n".join(f"{k}={v:.17g}" for k, v in fields) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        values = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            values[key.strip()] = float(raw)
-        return cls(**values)
-
-
-def encoder_rotation(phi):
-    """Rotator preparing the second letter state; overlap kappa = cos(phi/2)."""
-    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    return np.array([[c, s], [-s, c]])
 
 
 def ramsey_zone(tau, eps_abs, nu):

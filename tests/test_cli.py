@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from srmchannel import cavityqed as cq, cli, sqrm, synthesis as syn
+from oracles import read_network
+from srmchannel import cavityqed as cq, cli, sqrm, sweep, synthesis as syn
 
 
 def _run(capsys, *argv):
@@ -73,17 +74,38 @@ def test_subnormal_grid_step_is_a_resource_error(capsys):
     assert "grid" in err
 
 
-def test_synthesize_refuses_wide_network_before_work(tmp_path, capsys, monkeypatch):
+def _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, n):
     def no_work(*args):
         raise AssertionError("synthesis started")
 
     monkeypatch.setattr(syn, "decoder_network", no_work)
     status, _, err = _run(
-        capsys, "synthesize", "--n", "13", "--kappa", "0.5", "--out", str(tmp_path / "x")
+        capsys, "synthesize", "--n", n, "--kappa", "0.5", "--out", str(tmp_path / "x")
     )
     assert status == 4
     assert "wires" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_synthesize_refuses_wide_network_before_work(tmp_path, capsys, monkeypatch):
+    _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "13")
+
+
+def test_synthesize_refuses_ten_wires_before_work(tmp_path, capsys, monkeypatch):
+    # The Givens route's gate list grows as 4**n n: 4.3 million gates at n = 9.
+    _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "10")
+
+
+def test_threshold_tolerance_below_float_resolution_refused_before_work(capsys, monkeypatch):
+    # Bisection below the float spacing never shrinks the bracket further.
+    def no_work(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(sweep, "superadditivity_margin", no_work)
+    status, out, err = _run(capsys, "threshold", "--n", "3", "--tol", "1e-16")
+    assert status == 4
+    assert out == ""
+    assert "tolerance" in err
 
 
 def test_threshold_beyond_block_limit(capsys):
@@ -203,7 +225,7 @@ def test_synthesize_writes_artifacts(tmp_path, capsys):
     assert v.shape == (8, 8)
     assert np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
     text = (out_dir / "network.txt").read_text()
-    gates = syn.network_from_text(text)
+    gates = read_network(text)
     assert syn.network_to_text(gates) == text
 
 

