@@ -8,7 +8,8 @@ two-level (Givens) rotations, each of which compiles to a gate network of
 controlled flips (Gray-code mapping), one multi-controlled y-rotation, and
 the mapping undone.  Every gate is a 2x2 core on a target wire under a set
 of control wires (no controls for a plain rotation or flip), and a simulator
-that mixes row pairs with those cores verifies every network.
+that relabels rows for every flip and mixes row pairs with the other cores
+verifies every network.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
@@ -100,6 +101,11 @@ class ControlledUnitary:
     controls: tuple
     target: int
     core: object
+
+
+# One uncontrolled flip per wire, shared by every compiled network (the gates
+# are frozen, so sharing them is safe).
+_FLIPS = tuple(ControlledFlip(controls=(), target=w) for w in range(MAX_WIRES))
 
 
 def srm_vectors(codebook, kappa):
@@ -208,8 +214,7 @@ def _bit(index, wire, n):
 def _conjugated(make, current, target, n):
     """Gate ``make(controls=, target=)`` conditioned on every other wire holding
     its value in basis state ``current``; 0-controls are X-conjugated."""
-    zero = [ControlledFlip(controls=(), target=w) for w in range(n)
-            if w != target and _bit(current, w, n) == 0]
+    zero = [_FLIPS[w] for w in range(n) if w != target and _bit(current, w, n) == 0]
     controls = tuple(w for w in range(n) if w != target)
     return zero + [make(controls=controls, target=target)] + zero[::-1]
 
@@ -224,6 +229,8 @@ def factor_to_gates(factor, n):
     multi-controlled R_y(2 gamma) acts; the mapping is then undone.
     """
     i, j = factor.i, factor.j
+    if n > MAX_WIRES:
+        raise ResourceError(f"gate compilation limited to {MAX_WIRES} wires, got {n}")
     if not 0 <= i < j < 2**n:
         raise DomainError(f"factor indices ({i}, {j}) out of range for {n} wires")
     diff = [w for w in range(n) if _bit(i, w, n) != _bit(j, w, n)]
@@ -326,48 +333,79 @@ def expand_network(gates):
     return out
 
 
+def _row_pairs(controls, target, n):
+    """Target bit and the row pairs (lo, lo | target bit) a gate on ``target``
+    under ``controls`` acts on: lo has every control bit 1, the target bit 0."""
+    if not 0 <= target < n or not all(0 <= c < n for c in controls) or target in controls:
+        raise DomainError(f"gate target {target} and controls {controls} must be"
+                          f" distinct wires in range({n})")
+    tbit = 1 << (n - 1 - target)
+    need = 0
+    for c in controls:
+        need |= 1 << (n - 1 - c)
+    lo = [r for r in range(2**n) if r & (tbit | need) == need]
+    return tbit, lo, [r | tbit for r in lo]
+
+
 def simulate_network(gates, n):
     """Unitary of a gate list, applied left to right.
 
-    Row r of the product is kept at row r ^ frame, so an uncontrolled flip
-    only toggles its target bit in ``frame``.  Every other gate mixes the row
-    pairs (lo, lo ^ target bit) whose control bits are all 1 with its core.
-    The result is real unless some ControlledUnitary core is complex.
+    Flips do no arithmetic: row r of the product is kept at row
+    ``pos[r ^ frame]``, so an uncontrolled flip toggles its target bit in
+    ``frame`` and a controlled one swaps entries of the row permutation
+    ``pos``.  Every other gate mixes the rows of the pairs its controls
+    select with its core; the pairs are worked out once per distinct
+    ``(controls, target)``.  The result is real unless some
+    ControlledUnitary core is complex.
     """
     if n > MAX_WIRES:
         raise ResourceError(f"network simulation limited to {MAX_WIRES} wires, got {n}")
     complex_core = any(isinstance(g, ControlledUnitary) and np.iscomplexobj(g.core)
                        for g in gates)
     out = np.eye(2**n, dtype=complex if complex_core else float)
-    index = np.arange(2**n)
+    pos = list(range(2**n))
     frame = 0
+    pairs = {}
     for g in gates:
-        tbit = 1 << (n - 1 - g.target)
-        if not g.controls and isinstance(g, ControlledFlip):
+        key = (g.controls, g.target)
+        if key not in pairs:
+            pairs[key] = _row_pairs(g.controls, g.target, n)
+        tbit, lo, hi = pairs[key]
+        if not isinstance(g, ControlledFlip):
+            # lists, not scalars: a scalar row index would give a view of out
+            rows_lo = [pos[r ^ frame] for r in lo]
+            rows_hi = [pos[r ^ frame] for r in hi]
+            u = np.asarray(g.core)
+            a, b = out[rows_lo], out[rows_hi]
+            out[rows_lo] = u[0, 0] * a + u[0, 1] * b
+            out[rows_hi] = u[1, 0] * a + u[1, 1] * b
+        elif g.controls:
+            for r, s in zip(lo, hi):
+                r, s = r ^ frame, s ^ frame
+                pos[r], pos[s] = pos[s], pos[r]
+        else:
             frame ^= tbit
-            continue
-        need = sum(1 << (n - 1 - c) for c in g.controls)
-        lo = index[(index & (tbit | need)) == need] ^ frame
-        hi = lo ^ tbit
-        u = np.asarray(g.core)
-        a, b = out[lo], out[hi]
-        out[lo] = u[0, 0] * a + u[0, 1] * b
-        out[hi] = u[1, 0] * a + u[1, 1] * b
-    return out[index ^ frame]
+    return out[np.array(pos)[np.arange(2**n) ^ frame]]
 
 
 def network_to_text(gates):
     """Line-oriented serialization; angles carry 17 significant digits.
 
     Gates without controls are written ``RY``/``X``, the others ``CR``/``CX``.
+    The line head (kind and wires) is built once per distinct gate placement.
     """
+    heads = {}
     lines = []
     for g in gates:
-        wires = " ".join(str(w) for w in (*g.controls, g.target))
-        if isinstance(g, ControlledRotation):
-            lines.append(f"{'CR' if g.controls else 'RY'} {wires} {g.angle:.17g}")
-        elif isinstance(g, ControlledFlip):
-            lines.append(f"{'CX' if g.controls else 'X'} {wires}")
-        else:
-            raise DomainError(f"gate {g!r} has no text form")
+        key = (type(g), g.controls, g.target)
+        if key not in heads:
+            wires = " ".join(str(w) for w in (*g.controls, g.target))
+            if isinstance(g, ControlledRotation):
+                heads[key] = f"{'CR' if g.controls else 'RY'} {wires}"
+            elif isinstance(g, ControlledFlip):
+                heads[key] = f"{'CX' if g.controls else 'X'} {wires}"
+            else:
+                raise DomainError(f"gate {g!r} has no text form")
+        head = heads[key]
+        lines.append(f"{head} {g.angle:.17g}" if isinstance(g, ControlledRotation) else head)
     return "\n".join(lines) + "\n"

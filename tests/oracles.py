@@ -99,3 +99,29 @@ def read_network(text):
             assert kind in ("X", "CX"), line
             gates.append(syn.ControlledFlip(tuple(int(w) for w in fields[:-1]), int(fields[-1])))
     return gates
+
+
+def simulate_network_row_pairs(gates, n):
+    """Unitary of a gate list by the row-pair route: row r of the product is
+    kept at row r ^ frame, an uncontrolled flip toggles its target bit in the
+    frame, and every other gate, controlled flips included, mixes the row
+    pairs its controls select with its core.  ``simulate_network`` must agree
+    with it bit for bit."""
+    complex_core = any(isinstance(g, syn.ControlledUnitary) and np.iscomplexobj(g.core)
+                       for g in gates)
+    out = np.eye(2**n, dtype=complex if complex_core else float)
+    index = np.arange(2**n)
+    frame = 0
+    for g in gates:
+        tbit = 1 << (n - 1 - g.target)
+        if not g.controls and isinstance(g, syn.ControlledFlip):
+            frame ^= tbit
+            continue
+        need = sum(1 << (n - 1 - c) for c in g.controls)
+        lo = index[(index & (tbit | need)) == need] ^ frame
+        hi = lo ^ tbit
+        u = np.asarray(g.core)
+        a, b = out[lo], out[hi]
+        out[lo] = u[0, 0] * a + u[0, 1] * b
+        out[hi] = u[1, 0] * a + u[1, 1] * b
+    return out[index ^ frame]

@@ -1,14 +1,16 @@
-"""Property test: the row-pair simulator against dense gate matrices.
+"""Property test: the simulator against dense gate matrices.
 
 Each gate ``(controls, target, core)`` is rebuilt here as
 I - P + P (x) core, where P projects the control wires onto 1, from
 Kronecker products of one-wire factors; the network unitary is the product
-of those matrices.
+of those matrices.  The simulator must also match the row-pair route of
+``oracles.simulate_network_row_pairs`` bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from oracles import simulate_network_row_pairs
 from srmchannel import synthesis as syn
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -31,6 +33,12 @@ def _dense(gate, n):
     proj = [_P1 if w in gate.controls else eye for w in range(n)]
     applied = [core if w == gate.target else proj[w] for w in range(n)]
     return np.eye(2**n) - _kron(proj) + _kron(applied)
+
+
+def _assert_bit_identical_to_row_pairs(u, gates, n):
+    ref = simulate_network_row_pairs(gates, n)
+    assert u.dtype == ref.dtype
+    assert np.array_equal(u, ref)
 
 
 def _unitary_core(alpha, beta, gamma, delta):
@@ -70,6 +78,7 @@ def test_simulator_matches_dense_gate_product(network):
     for g in gates:
         ref = _dense(g, n) @ ref
     assert np.max(np.abs(u - ref)) < 1e-12
+    _assert_bit_identical_to_row_pairs(u, gates, n)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-12
     if not any(isinstance(g, syn.ControlledUnitary) for g in gates):
         assert not np.iscomplexobj(u)
@@ -99,6 +108,7 @@ def test_simulator_with_uncontrolled_flips_matches_dense_product(network):
     for g in gates:
         ref = _dense(g, n) @ ref
     assert np.max(np.abs(u - ref)) < 1e-12
+    _assert_bit_identical_to_row_pairs(u, gates, n)
 
 
 def test_uncontrolled_flips_give_xor_permutation():

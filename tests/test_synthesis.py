@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import read_network
+from oracles import read_network, simulate_network_row_pairs
 from srmchannel import codebook as cb
 from srmchannel import sqrm, synthesis as syn
 from srmchannel.exceptions import (
@@ -230,6 +230,43 @@ def test_simulate_network_basics():
     assert np.array_equal(u, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ResourceError):
         syn.simulate_network([], 13)
+
+
+@pytest.mark.parametrize("gate", [
+    syn.ControlledFlip(controls=(), target=3),
+    syn.ControlledFlip(controls=(), target=-1),
+    syn.ControlledRotation(controls=(0,), target=0, angle=0.3),
+    syn.ControlledFlip(controls=(2,), target=1),
+    syn.ControlledRotation(controls=(-1,), target=1, angle=0.3),
+], ids=["target-past-last-wire", "negative-target", "target-among-controls",
+        "control-past-last-wire", "negative-control"])
+def test_simulate_network_rejects_gates_off_the_wires(gate):
+    with pytest.raises(DomainError):
+        syn.simulate_network([gate], 2)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_simulator_bit_identical_to_row_pair_route(n, kappa):
+    _, _, _, gates = syn.decoder_network(cb.even_weight_codebook(n), kappa)
+    u = syn.simulate_network(gates, n)
+    ref = simulate_network_row_pairs(gates, n)
+    assert u.dtype == ref.dtype
+    assert np.array_equal(u, ref)
+
+
+def test_expanded_network_bit_identical_to_row_pair_route(block3):
+    _, _, _, gates = syn.decoder_network(block3, 0.8)
+    expanded = syn.expand_network(gates)
+    u = syn.simulate_network(expanded, 3)
+    ref = simulate_network_row_pairs(expanded, 3)
+    assert u.dtype == ref.dtype == complex
+    assert np.array_equal(u, ref)
+
+
+def test_factor_to_gates_limited_to_simulated_width():
+    with pytest.raises(ResourceError):
+        syn.factor_to_gates(syn.TwoLevelFactor(i=0, j=1, gamma=0.1), syn.MAX_WIRES + 1)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 0.8])
