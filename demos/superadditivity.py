@@ -33,7 +33,7 @@ book = cb.even_weight_codebook(3)
 gram = cb.gram_matrix(book, kappa)
 x = sqrm.principal_sqrt(gram)
 channel = sqrm.conditional_probabilities(x)
-i3 = sqrm.mutual_information(book.priors, channel)
+i3 = sqrm.mutual_information(channel)
 
 print("block-3 Gram matrix (kappa^Hamming distance):")
 print(np.array_str(gram, precision=4))

@@ -7,7 +7,7 @@ cavity-QED pulse realization of the elementary two-bit gate.
 
 from . import binary_channel, cavityqed, codebook, sqrm, sweep, synthesis
 from .binary_channel import capacity_c1, crossover_probability, holevo_limit
-from .codebook import Codebook, even_weight_codebook, alternative_codebook
+from .codebook import Codebook, even_weight_codebook
 from .sweep import superadditivity_margin, sweep_table, threshold_kappa
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "holevo_limit",
     "Codebook",
     "even_weight_codebook",
-    "alternative_codebook",
     "superadditivity_margin",
     "sweep_table",
     "threshold_kappa",

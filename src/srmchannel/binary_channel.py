@@ -38,15 +38,6 @@ def _check_kappa(kappa):
     return _unit_interval(kappa, "overlap")
 
 
-def _check_priors(priors):
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (2,) or np.any(priors < 0):
-        raise DomainError("priors must be two nonnegative numbers")
-    if abs(priors.sum() - 1.0) > 1e-12:
-        raise DomainError(f"priors must sum to 1, got {priors.sum()!r}")
-    return priors
-
-
 def binary_entropy(p):
     """H(p) in bits, with the 0*log(0) = 0 convention."""
     p = _unit_interval(p, "probability")
@@ -81,16 +72,13 @@ def capacity_c1(kappa):
     return np.where(kappa == 1.0, 0.0, c1)[()]
 
 
-def holevo_limit(kappa, priors=(0.5, 0.5)):
-    """Von Neumann entropy of the letter ensemble, in bits.
+def holevo_limit(kappa):
+    """Von Neumann entropy of the equiprobable letter ensemble, in bits.
 
-    This is the upper bound on accessible information per letter for the
-    given priors.  The density matrix ``p0 |plus><plus| + p1 |minus><minus|``
-    has trace 1 and determinant ``p0 p1 (1 - kappa^2)``, so its eigenvalues
-    are ``(1 +/- r) / 2`` with ``r = sqrt(1 - 4 p0 p1 (1 - kappa^2))``, and
-    its entropy is the binary entropy of the smaller one.
+    This is the upper bound on accessible information per letter.  The
+    density matrix ``(|plus><plus| + |minus><minus|) / 2`` has eigenvalues
+    ``(1 +/- kappa) / 2``, so its entropy is the binary entropy of the
+    smaller one.
     """
     kappa = _check_kappa(kappa)
-    priors = _check_priors(priors)
-    r = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * priors[0] * priors[1] * (1.0 - kappa * kappa)))
-    return binary_entropy(0.5 * (1.0 - r))
+    return binary_entropy(0.5 * (1.0 - kappa))

@@ -96,20 +96,19 @@ def ramsey_zone(tau, eps_abs, nu):
     return np.array([[ph * c, ph * s], [-np.conj(ph) * s, np.conj(ph) * c]])
 
 
-def off_resonant(t, g, delta, nu, photon_cutoff=1):
+def off_resonant(t, g, delta, nu):
     """Dispersive atom-cavity evolution, diagonal in the photon number.
 
-    Basis order: (atom level) x (photon number), photon fastest; atom level
-    0 is the upper state.
+    Basis order: (atom level) x (photon number 0 or 1), photon fastest; atom
+    level 0 is the upper state.
     """
     if delta == 0.0:
         raise ResonanceError("zero detuning: use the on-resonant interaction")
     g_eff = g * g / delta
-    dim = photon_cutoff + 1
-    phases = np.empty(2 * dim, dtype=complex)
-    for n in range(dim):
+    phases = np.empty(4, dtype=complex)
+    for n in range(2):
         phases[n] = np.exp(-1j * ((nu / 2.0 + g_eff) * t + n * g_eff * t))
-        phases[dim + n] = np.exp(1j * (nu * t / 2.0 + n * g_eff * t))
+        phases[2 + n] = np.exp(1j * (nu * t / 2.0 + n * g_eff * t))
     return np.diag(phases)
 
 
@@ -253,7 +252,7 @@ def solve_sequence_params(g, delta, nu):
     if not np.all(np.isfinite((g, delta, nu))):
         raise DomainError("g, delta and nu must be finite")
     if g <= 0 or delta == 0 or nu <= 0:
-        raise DomainError("g and nu must be positive, delta nonzero")
+        raise DomainError("g and nu must be positive and the detuning delta nonzero")
     g_eff = g * g / delta
     if g_eff == 0.0:
         raise DomainError(f"g_eff = g^2/delta underflows to zero for g = {g}, delta = {delta}")

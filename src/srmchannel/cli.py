@@ -4,8 +4,8 @@ Subcommands: ``c1`` (single-use quantities), ``sweep`` (figure-reproduction
 tables), ``threshold`` (superadditivity onset), ``synthesize`` (decoder
 unitary, factors, and gate network), ``gatecheck`` (pulse-sequence solve).
 
-Exit status: 0 success, 2 usage/domain error, 3 verification or search
-failure, 4 resource limit.
+Exit status: 0 success, 2 usage, domain or output-path error, 3 verification
+or search failure, 4 resource limit.
 """
 
 import argparse
@@ -156,7 +156,7 @@ def _cmd_synthesize(args):
     )
     _atomic_write(os.path.join(args.out, "network.txt"), synthesis.network_to_text(gates))
     x = sqrm.principal_sqrt(cb_mod.gram_matrix(book, args.kappa))
-    pe = sqrm.average_error_probability(book.priors, x)
+    pe = sqrm.average_error_probability(x)
     print(f"P_e {sweep._fmt(pe)}")
     for m, w in enumerate(book.words):
         print(f"P({w}|{w}) {sweep._fmt(x[m, m] ** 2)}")
@@ -164,8 +164,6 @@ def _cmd_synthesize(args):
 
 
 def _cmd_gatecheck(args):
-    if args.delta == 0.0:
-        raise DomainError("zero detuning: the dispersive interaction is undefined")
     try:
         result = cavityqed.solve_sequence_params(args.g, args.delta, args.nu)
     except SearchFailureError as exc:
@@ -240,7 +238,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceError as exc:

@@ -17,7 +17,6 @@ from .exceptions import DomainError, ResourceError
 __all__ = [
     "Codebook",
     "even_weight_codebook",
-    "alternative_codebook",
     "codeword_vector",
     "gram_matrix",
 ]
@@ -45,11 +44,6 @@ class Codebook:
     def __len__(self):
         return len(self.words)
 
-    @property
-    def priors(self):
-        """The uniform input distribution, one entry per codeword."""
-        return np.full(len(self.words), 1.0 / len(self.words))
-
 
 def _check_block_length(n):
     if n > MAX_BLOCK_LENGTH:
@@ -70,11 +64,6 @@ def even_weight_codebook(n):
         format(v, f"0{n}b") for v in range(2**n) if bin(v).count("1") % 2 == 0
     )
     return Codebook(n=n, words=words)
-
-
-def alternative_codebook():
-    """The non-superadditive four-word block-3 set {000, 100, 011, 111}."""
-    return Codebook(n=3, words=("000", "100", "011", "111"))
 
 
 def codeword_vector(word, kappa):

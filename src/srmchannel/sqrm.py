@@ -70,26 +70,19 @@ def conditional_probabilities(x):
     return p
 
 
-def mutual_information(priors, p):
-    """Mutual information of a discrete channel, in bits.
+def mutual_information(p):
+    """Mutual information of a discrete channel with equiprobable inputs, in bits.
 
-    ``p[i, j]`` is the conditional probability of output j given input i;
-    ``priors`` is the input distribution.  Zero-probability terms follow the
-    0*log(0) = 0 convention.
+    ``p[i, j]`` is the conditional probability of output j given input i.
+    Zero-probability terms follow the 0*log(0) = 0 convention.
     """
-    priors = np.asarray(priors, dtype=float)
     p = np.asarray(p, dtype=float)
-    if priors.shape[0] != p.shape[0]:
-        raise DomainError("priors and channel matrix dimensions disagree")
-    out = priors @ p
+    out = p.mean(axis=0)
     info = 0.0
-    for i in range(p.shape[0]):
-        if priors[i] == 0.0:
-            continue
-        row = p[i]
+    for row in p:
         mask = row > 0.0
-        info += priors[i] * np.sum(row[mask] * np.log2(row[mask] / out[mask]))
-    return float(info)
+        info += np.sum(row[mask] * np.log2(row[mask] / out[mask]))
+    return float(info / p.shape[0])
 
 
 def _closed_form_x(kappa):
@@ -113,11 +106,10 @@ def i3_closed_form(kappa):
     return float(info)
 
 
-def average_error_probability(priors, x):
-    """SRM average error probability 1 - sum_m zeta_m x_mm^2."""
-    priors = np.asarray(priors, dtype=float)
+def average_error_probability(x):
+    """SRM average error probability 1 - sum_m zeta_m x_mm^2, zeta_m = 1/M."""
     x = np.asarray(x, dtype=float)
-    return float(1.0 - priors @ np.diag(x) ** 2)
+    return float(1.0 - np.mean(np.diag(x) ** 2))
 
 
 def srm_vectors(codebook, kappa):

@@ -75,13 +75,13 @@ def _block_summary(n, kappa, codebook_choice="even"):
         info = np.where(kappa == 0.0, float(n - 1), np.where(kappa == 1.0, 0.0, info))
         pe = np.where(kappa == 0.0, 0.0, np.where(kappa == 1.0, 1.0 - 2.0 ** (1 - n), pe))
         return info[()], pe[()]
-    book = cb_mod.alternative_codebook()
-    info, pe = np.empty_like(kappa), np.empty_like(kappa)
-    for i, k in np.ndenumerate(kappa):
-        x = sqrm.principal_sqrt(cb_mod.gram_matrix(book, k))
-        info[i] = sqrm.mutual_information(book.priors, sqrm.conditional_probabilities(x))
-        pe[i] = sqrm.average_error_probability(book.priors, x)
-    return info[()], pe[()]
+    # A free letter times the pair {00, 11} of overlap kappa^2: the SRM of this product
+    # ensemble is the product of two binary SRMs, each a binary symmetric channel
+    # with crossover (1 - sqrt(1 - s^2)) / 2, written without cancellation at small s.
+    pair = kappa * kappa
+    p1, p2 = (0.5 * s * s / (1.0 + np.sqrt(1.0 - s * s)) for s in (kappa, pair))
+    info = binary_channel.capacity_c1(kappa) + binary_channel.capacity_c1(pair)
+    return info[()], (p1 + p2 - p1 * p2)[()]
 
 
 def superadditivity_margin(n, kappa, codebook_choice="even"):
@@ -92,7 +92,7 @@ def superadditivity_margin(n, kappa, codebook_choice="even"):
     return np.where(kappa == 1.0, 0.0, margin)[()]
 
 
-def threshold_kappa(n, tolerance=1e-4, codebook_choice="even"):
+def threshold_kappa(n, tolerance=1e-4):
     """Locate the onset of superadditivity adjoining ``kappa = 1``.
 
     A coarse scan finds the last sign change below the superadditive region;
@@ -108,14 +108,14 @@ def threshold_kappa(n, tolerance=1e-4, codebook_choice="even"):
             f"tolerance {tolerance} is below the float resolution {np.finfo(float).eps}"
         )
     grid = np.arange(_SCAN_STEP, _KAPPA_CEIL + 1e-12, _SCAN_STEP)
-    margins = superadditivity_margin(n, grid, codebook_choice)
+    margins = superadditivity_margin(n, grid)
     onsets = np.flatnonzero((margins[1:] > 0.0) & (margins[:-1] <= 0.0))
     if not onsets.size:
         return ThresholdResult(n=n, kappa_star=None, bracket_width=_SCAN_STEP)
     lo, hi = grid[onsets[-1]], grid[onsets[-1] + 1]
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if superadditivity_margin(n, mid, codebook_choice) > 0.0:
+        if superadditivity_margin(n, mid) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -143,9 +143,9 @@ def sweep_table(n_list, kappa_grid, codebook_choice="even"):
     return rows
 
 
-def error_rate_comparison(n, kappa, codebook_choice="even"):
-    """Block-coded SRM error probability versus the single-letter one."""
-    _, pe = _block_summary(n, kappa, codebook_choice)
+def error_rate_comparison(n, kappa):
+    """Block-coded SRM error probability of the even-weight code vs the single-letter one."""
+    _, pe = _block_summary(n, kappa)
     p_single = binary_channel.crossover_probability(kappa)
     return {"pe_block": pe, "p_single": p_single, "degraded": pe > p_single}
 

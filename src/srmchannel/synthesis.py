@@ -40,7 +40,6 @@ __all__ = [
     "two_level_decompose",
     "recompose",
     "factor_to_gates",
-    "diagonal_to_gates",
     "decoder_network",
     "decompose_doubly_controlled",
     "expand_network",
@@ -52,6 +51,8 @@ __all__ = [
 # Widest network synthesized or simulated: the Givens route's gate list grows
 # as O(4**n n), about 4.3 million gates (34 s, 0.6 GB) at 9 wires.
 MAX_WIRES = 9
+
+_OMIT_BELOW = 1e-12
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_X.flags.writeable = False  # shared as every ControlledFlip.core
@@ -150,21 +151,20 @@ def build_decoding_unitary(full_basis):
 
 
 def error_probability_via_v(v, codebook, kappa):
-    """Eq-of-motion check: 1 - sum_m zeta_m <A_m|V|S_m>^2."""
+    """Eq-of-motion check: 1 - sum_m zeta_m <A_m|V|S_m>^2, zeta_m = 1/M."""
     v = np.asarray(v, dtype=float)
-    priors = codebook.priors
     total = 0.0
     for m, w in enumerate(codebook.words):
         amp = v[m] @ cb_mod.codeword_vector(w, kappa)
-        total += priors[m] * amp * amp
-    return float(1.0 - total)
+        total += amp * amp
+    return float(1.0 - total / len(codebook))
 
 
-def two_level_decompose(v, omit_below=1e-12):
+def two_level_decompose(v):
     """Factor an orthogonal V as D * T_(2,1) * T_(3,1) * ... * T_(N,N-1).
 
     D is diagonal with +-1 entries (at most the last entry is -1).  Factors
-    with |gamma| below ``omit_below`` are dropped.  Returns ``(d, factors)``.
+    with |gamma| below ``_OMIT_BELOW`` are dropped.  Returns ``(d, factors)``.
     """
     v = np.asarray(v, dtype=float)
     dim = v.shape[0]
@@ -189,7 +189,7 @@ def two_level_decompose(v, omit_below=1e-12):
     for i, j, gamma in raw:
         if d[i] * d[j] < 0:
             gamma = -gamma
-        if abs(gamma) >= omit_below:
+        if abs(gamma) >= _OMIT_BELOW:
             factors.append(TwoLevelFactor(i=i, j=j, gamma=gamma))
     return d, factors
 
@@ -246,41 +246,25 @@ def factor_to_gates(factor, n):
     return mapping + core + list(reversed(mapping))
 
 
-def diagonal_to_gates(d, n):
-    """Gates realizing a +-1 diagonal with at most one -1, on the last state.
-
-    diag(1, -1) on the target equals X * R_y(pi), so the sign flip compiles
-    to a fully controlled rotation followed by a fully controlled flip.
-    """
-    d = np.asarray(d, dtype=float)
-    flips = np.flatnonzero(d < 0)
-    if flips.size == 0:
-        return []
-    if flips.size > 1 or flips[0] != d.size - 1:
-        raise DomainError("only a single sign flip on the last basis state is supported")
-    target = n - 1
-    controls = tuple(range(n - 1))
-    return [
-        ControlledRotation(controls=controls, target=target, angle=np.pi),
-        ControlledFlip(controls=controls, target=target),
-    ]
-
-
 def decoder_network(codebook, kappa):
     """Full gate network for the decoding unitary V.
 
     Returns ``(v, d, factors, gates)``.  Gates apply left to right; since
     V = D T_1 ... T_K acts with T_K first, factor networks are emitted in
-    reverse factor order with the diagonal last.
+    reverse factor order.  D is the identity for the even-weight code, since
+    V^T = L^(x n) P R with det L > 0 (L = [plus | minus]), P the even-weight-
+    first word order (an even permutation), and R the inverse Gram root and
+    Gram-Schmidt normalizers (block triangular, det R > 0).
     """
     mu = srm_vectors(codebook, kappa)
     basis = gram_schmidt_completion(mu, codebook, kappa)
     v = build_decoding_unitary(basis)
     d, factors = two_level_decompose(v)
+    if np.any(d < 0):
+        raise ConsistencyError("decoding unitary has determinant -1; no sign gate is compiled")
     gates = []
     for f in reversed(factors):
         gates.extend(factor_to_gates(f, codebook.n))
-    gates.extend(diagonal_to_gates(d, codebook.n))
     return v, d, factors, gates
 
 

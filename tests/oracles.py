@@ -21,20 +21,26 @@ def product_decoding_information(n, kappa):
     pn = np.array([[1.0]])
     for _ in range(n):
         pn = np.kron(pn, p1)
-    priors = np.full(2**n, 1.0 / 2**n)
-    return sqrm.mutual_information(priors, pn)
+    return sqrm.mutual_information(pn)
 
 
-def holevo_limit_dense(kappa, priors=(0.5, 0.5)):
-    """Von Neumann entropy of the letter ensemble from the eigenvalues of its
-    2 x 2 density matrix, built from the planar letter states.  In bits."""
+def holevo_limit_dense(kappa):
+    """Von Neumann entropy of the equiprobable letter ensemble from the
+    eigenvalues of its 2 x 2 density matrix, built from the planar letter
+    states.  In bits."""
     plus, minus = bc.letter_states(kappa)
-    rho = priors[0] * np.outer(plus, plus) + priors[1] * np.outer(minus, minus)
+    rho = 0.5 * (np.outer(plus, plus) + np.outer(minus, minus))
     h = 0.0
     for lam in np.linalg.eigvalsh(rho):
         if lam > 0.0:
             h -= lam * np.log2(lam)
     return float(h)
+
+
+def alternative_codebook():
+    """The non-superadditive four-word block-3 set {000, 100, 011, 111}, whose
+    SRM summary the library computes in closed form."""
+    return cb.Codebook(n=3, words=("000", "100", "011", "111"))
 
 
 def optimal_measurement(kappa):
@@ -64,16 +70,16 @@ def holevo_condition_check(codebook, kappa, tolerance=1e-9):
     """
     mu = sqrm.srm_vectors(codebook, kappa)
     vecs = np.column_stack([cb.codeword_vector(w, kappa) for w in codebook.words])
-    priors = codebook.priors
+    zeta = 1.0 / len(codebook)
     lam = np.zeros((mu.shape[0], mu.shape[0]))
     for i in range(len(codebook)):
         overlap = mu[:, i] @ vecs[:, i]
-        lam += priors[i] * overlap * np.outer(mu[:, i], vecs[:, i])
+        lam += zeta * overlap * np.outer(mu[:, i], vecs[:, i])
     hermitian_defect = np.max(np.abs(lam - lam.T))
     lam_sym = 0.5 * (lam + lam.T)
     worst = np.inf
     for j in range(len(codebook)):
-        test = lam_sym - priors[j] * np.outer(vecs[:, j], vecs[:, j])
+        test = lam_sym - zeta * np.outer(vecs[:, j], vecs[:, j])
         worst = min(worst, float(np.linalg.eigvalsh(test)[0]))
     satisfied = hermitian_defect <= tolerance and worst >= -tolerance
     return {"satisfied": bool(satisfied), "min_eigenvalue": worst}

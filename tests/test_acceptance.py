@@ -82,7 +82,7 @@ def test_criterion_06_closed_form_consistency():
         xd = 0.25 * (np.sqrt(1 + 3 * kappa**2) + 3 * np.sqrt(1 - kappa**2))
         xo = 0.25 * (np.sqrt(1 + 3 * kappa**2) - np.sqrt(1 - kappa**2))
         worst_entry = max(worst_entry, abs(x[0, 0] - xd), abs(x[0, 1] - xo))
-        info = sqrm.mutual_information(book3.priors, sqrm.conditional_probabilities(x))
+        info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
         worst_info = max(worst_info, abs(info - sqrm.i3_closed_form(kappa)))
     worst_fast = 0.0
     for n in range(2, 9):
@@ -127,7 +127,7 @@ def test_criterion_09_decoder_synthesis():
         )
         ok &= np.max(np.abs(amps**2 - np.diag(x) ** 2)) < 1e-10
         pe = syn.error_probability_via_v(v, book3, kappa)
-        ok &= abs(pe - sqrm.average_error_probability(book3.priors, x)) < 1e-10
+        ok &= abs(pe - sqrm.average_error_probability(x)) < 1e-10
         ok &= np.max(np.abs(syn.recompose(d, factors) - v)) < 1e-10
         ok &= np.max(np.abs(syn.simulate_network(gates, 3) - v)) < 1e-9
     _report(9, "synthesis chain verified at kappa = 0.5, 0.8", bool(ok))

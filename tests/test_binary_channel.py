@@ -86,7 +86,7 @@ def test_optimal_measurement_degenerate():
 
 def test_capacity_equals_induced_mutual_information():
     # C1 from the closed form must match Eq-style mutual information of the
-    # measured channel with uniform priors.
+    # measured channel with equiprobable inputs.
     from srmchannel.sqrm import mutual_information
 
     for kappa in np.linspace(0.0, 0.99, 100):
@@ -98,27 +98,19 @@ def test_capacity_equals_induced_mutual_information():
                 [(w1 @ minus) ** 2, (w2 @ minus) ** 2],
             ]
         )
-        info = mutual_information([0.5, 0.5], p)
+        info = mutual_information(p)
         assert info == pytest.approx(bc.capacity_c1(kappa), abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "kappa,priors,expected",
-    [
-        (0.0, (0.5, 0.5), 1.0),
-        (1.0, (0.3, 0.7), 0.0),
-        (0.8, (0.5, 0.5), HOLEVO_08),
-    ],
-)
-def test_holevo_limit(kappa, priors, expected):
-    assert bc.holevo_limit(kappa, priors) == pytest.approx(expected, abs=1e-12)
+@pytest.mark.parametrize("kappa,expected", [(0.0, 1.0), (1.0, 0.0), (0.8, HOLEVO_08)])
+def test_holevo_limit(kappa, expected):
+    assert bc.holevo_limit(kappa) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("priors", [(0.5, 0.5), (0.2, 0.8), (0.9, 0.1)])
-def test_holevo_closed_form_matches_density_matrix(priors):
+def test_holevo_closed_form_matches_density_matrix():
     grid = np.linspace(0.0, 1.0, 101)
-    closed = bc.holevo_limit(grid, priors)
-    dense = np.array([holevo_limit_dense(k, priors) for k in grid])
+    closed = bc.holevo_limit(grid)
+    dense = np.array([holevo_limit_dense(k) for k in grid])
     assert np.max(np.abs(closed - dense)) <= 1e-15
 
 
@@ -129,13 +121,6 @@ def test_capacity_below_holevo():
         assert c1 <= bound + 1e-12
         if 0.01 < kappa < 0.999:
             assert c1 < bound
-
-
-def test_priors_validation():
-    with pytest.raises(DomainError):
-        bc.holevo_limit(0.5, (0.2, 0.3))
-    with pytest.raises(DomainError):
-        bc.holevo_limit(0.5, (-0.1, 1.1))
 
 
 def test_domain_error_names_first_bad_value():

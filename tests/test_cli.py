@@ -192,6 +192,25 @@ def test_sweep_out_file_deterministic(tmp_path, capsys):
     assert out_file.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("sweep", "--n", "3", "--grid", "0:1:0.5", "--out"), "missing/x.csv"),
+        (("c1", "--grid", "0:1:0.5", "--out"), "missing/c.csv"),
+        (("sweep", "--n", "3", "--grid", "0:1:0.5", "--out"), "a_dir"),
+        (("synthesize", "--n", "3", "--kappa", "0.5", "--out"), "a_file"),
+    ],
+    ids=["sweep-missing-dir", "c1-missing-dir", "sweep-onto-dir", "synthesize-onto-file"],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, target):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    status, _, err = _run(capsys, *argv, str(tmp_path / target))
+    assert status == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
 def test_threshold_block3(capsys):
     status, out, _ = _run(capsys, "threshold", "--n", "3", "--tol", "1e-4")
     assert status == 0

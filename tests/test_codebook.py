@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import alternative_codebook
 from srmchannel import codebook as cb
 from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, ResourceError, StructureError
@@ -21,7 +22,6 @@ def _gram_from_vectors(codebook, kappa):
 def test_even_weight_block3_matches_reference_set():
     book = cb.even_weight_codebook(3)
     assert book.words == ("000", "011", "101", "110")
-    assert np.allclose(book.priors, 0.25)
 
 
 def test_even_weight_block2():
@@ -54,7 +54,7 @@ def test_even_weight_domain_errors():
 
 
 def test_alternative_codebook_contents():
-    book = cb.alternative_codebook()
+    book = alternative_codebook()
     assert "000" in book.words and "111" in book.words
     distances = sorted(
         _distance(a, b) for a, b in itertools.combinations(book.words, 2)
@@ -65,7 +65,7 @@ def test_alternative_codebook_contents():
 def test_alternative_codebook_closure():
     # Brute-force closure verdict: {000, 100, 011, 111} is spanned by
     # {100, 011}, so the set IS a group under XOR (minimum distance 1).
-    book = cb.alternative_codebook()
+    book = alternative_codebook()
     ints = {int(w, 2) for w in book.words}
     assert all(a ^ b in ints for a in ints for b in ints)
 
@@ -110,7 +110,7 @@ def test_gram_kappa0_is_identity():
 
 
 def test_gram_alternative_entries():
-    gram = cb.gram_matrix(cb.alternative_codebook(), 0.8)
+    gram = cb.gram_matrix(alternative_codebook(), 0.8)
     assert set(np.round(gram.flatten(), 12)) == {1.0, 0.8, 0.64, 0.512}
 
 
@@ -135,6 +135,8 @@ def test_codebook_validation():
         cb.Codebook(n=2, words=("00", "00"))
     with pytest.raises(DomainError):
         cb.Codebook(n=2, words=("00", "012"))
+    with pytest.raises(TypeError):
+        cb.Codebook(n=2, words=("00", "11"), priors=np.array([0.5, 0.5]))
 
 
 def test_codebook_equality_and_hash():
@@ -143,16 +145,5 @@ def test_codebook_equality_and_hash():
     assert book == same
     assert hash(book) == hash(same)
     assert len({book, same}) == 1
-    assert book != cb.alternative_codebook()
+    assert book != alternative_codebook()
     assert book != cb.Codebook(n=3, words=("000", "011", "110", "101"))
-
-
-def test_codebook_priors_are_uniform_and_fixed():
-    book = cb.alternative_codebook()
-    assert np.array_equal(book.priors, np.full(4, 0.25))
-    book.priors[0] = 1.0  # each read is a fresh array
-    assert np.array_equal(book.priors, np.full(4, 0.25))
-    with pytest.raises(AttributeError):
-        book.priors = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(TypeError):
-        cb.Codebook(n=2, words=("00", "11"), priors=np.array([0.5, 0.5]))

@@ -47,15 +47,11 @@ def test_block_quantities_batch_equal_scalar_calls(n, kappas):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kappas=_KAPPAS, p0=st.floats(min_value=0.0, max_value=1.0))
-def test_letter_quantities_batch_equal_scalar_calls(kappas, p0):
+@given(kappas=_KAPPAS)
+def test_letter_quantities_batch_equal_scalar_calls(kappas):
     kappa = np.array(kappas)
-    priors = (p0, 1.0 - p0)
-    for fn in (bc.capacity_c1, bc.crossover_probability, bc.binary_entropy):
+    for fn in (bc.capacity_c1, bc.crossover_probability, bc.binary_entropy, bc.holevo_limit):
         _assert_per_element(fn(kappa), [fn(k) for k in kappas])
-    _assert_per_element(
-        bc.holevo_limit(kappa, priors), [bc.holevo_limit(k, priors) for k in kappas]
-    )
     for k, c1, h in zip(kappas, bc.capacity_c1(kappa), bc.binary_entropy(kappa)):
         assert c1 == (0.0 if k == 1.0 else 1.0 - bc.binary_entropy(bc.crossover_probability(k)))
         assert (h == 0.0) == (k in (0.0, 1.0))

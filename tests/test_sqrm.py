@@ -6,7 +6,7 @@ from srmchannel import codebook as cb
 from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, StructureError
 
-from oracles import holevo_condition_check, product_decoding_information
+from oracles import alternative_codebook, holevo_condition_check, product_decoding_information
 
 # 40-digit reference values for the block-3 even-weight code.
 X_DIAG_08 = 0.8772001872658766
@@ -72,20 +72,20 @@ def test_conditional_probabilities_kappa05():
 
 
 def test_mutual_information_noiseless():
-    assert sqrm.mutual_information(np.full(4, 0.25), np.eye(4)) == pytest.approx(2.0)
+    assert sqrm.mutual_information(np.eye(4)) == pytest.approx(2.0)
 
 
 def test_mutual_information_block3():
     book = cb.even_weight_codebook(3)
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
-    info = sqrm.mutual_information(book.priors, sqrm.conditional_probabilities(x))
+    info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
     assert info == pytest.approx(I3_08, abs=1e-10)
 
 
 def test_mutual_information_identical_codewords():
     book = cb.even_weight_codebook(3)
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 1.0))
-    info = sqrm.mutual_information(book.priors, sqrm.conditional_probabilities(x))
+    info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
     assert info == pytest.approx(0.0, abs=1e-12)
 
 
@@ -99,27 +99,27 @@ def test_i3_closed_form_matches_generic_path():
     book = cb.even_weight_codebook(3)
     for kappa in np.linspace(0.0, 1.0, 101):
         x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
-        info = sqrm.mutual_information(book.priors, sqrm.conditional_probabilities(x))
+        info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
         assert abs(info - sqrm.i3_closed_form(kappa)) < 1e-10
 
 
 def test_average_error_probability():
     book = cb.even_weight_codebook(3)
     x8 = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
-    assert sqrm.average_error_probability(book.priors, x8) == pytest.approx(
+    assert sqrm.average_error_probability(x8) == pytest.approx(
         PE_08, abs=1e-10
     )
     x0 = sqrm.principal_sqrt(cb.gram_matrix(book, 0.0))
-    assert sqrm.average_error_probability(book.priors, x0) == 0.0
+    assert sqrm.average_error_probability(x0) == 0.0
     x1 = sqrm.principal_sqrt(cb.gram_matrix(book, 1.0))
-    assert sqrm.average_error_probability(book.priors, x1) == pytest.approx(0.75)
+    assert sqrm.average_error_probability(x1) == pytest.approx(0.75)
 
 
 def test_information_bounded_by_log_m():
     book = cb.even_weight_codebook(3)
     for kappa in np.linspace(0.0, 1.0, 51):
         x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
-        info = sqrm.mutual_information(book.priors, sqrm.conditional_probabilities(x))
+        info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
         assert info <= 2.0 + 1e-12
         if kappa > 0:
             assert info < 2.0
@@ -160,10 +160,10 @@ def test_holevo_condition_fails_for_perturbed_measurement():
     lam = np.zeros((8, 8))
     for i in range(4):
         overlap = mu[:, i] @ vecs[:, i]
-        lam += book.priors[i] * overlap * np.outer(mu[:, i], vecs[:, i])
+        lam += 0.25 * overlap * np.outer(mu[:, i], vecs[:, i])
     lam = 0.5 * (lam + lam.T)
     worst = min(
-        np.linalg.eigvalsh(lam - book.priors[j] * np.outer(vecs[:, j], vecs[:, j]))[0]
+        np.linalg.eigvalsh(lam - 0.25 * np.outer(vecs[:, j], vecs[:, j]))[0]
         for j in range(4)
     )
     assert worst < -1e-4
@@ -221,7 +221,7 @@ def test_xor_fast_path_rejects_non_group():
 def test_fast_path_alternative_codebook():
     # the alternative set turns out to be XOR-closed, so the fast path
     # applies to it as well; cross-check against the dense route
-    book = cb.alternative_codebook()
+    book = alternative_codebook()
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
     _, row = sqrm.xor_fast_path(book, 0.8)
     assert np.max(np.abs(row - x[0])) < 1e-10

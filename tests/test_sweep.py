@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from srmchannel import cli, sweep
+from oracles import alternative_codebook
+from srmchannel import cli, codebook as cb, sqrm, sweep
 from srmchannel.exceptions import DomainError, ResourceError
 
 # 40-digit reference values (see test_sqrm for the channel-matrix entries).
@@ -121,6 +122,43 @@ def test_sweep_table_ordering_and_determinism():
 def test_alternative_codebook_never_superadditive():
     for kappa in np.linspace(0.01, 0.99, 99):
         assert sweep.superadditivity_margin(3, kappa, codebook_choice="alt") < 0.0
+
+
+def _alternative_summary_mpmath(kappa):
+    """(information, error probability) of the alternative code from a
+    50-digit eigendecomposition of its Gram matrix."""
+    mpmath = pytest.importorskip("mpmath")
+    book = alternative_codebook()
+    with mpmath.workdps(50):
+        kappa = mpmath.mpf(kappa)
+        gram = mpmath.matrix([[kappa ** sum(a != b for a, b in zip(u, w)) for w in book.words]
+                              for u in book.words])
+        eigvals, eigvecs = mpmath.eigsy(gram)
+        x = eigvecs * mpmath.diag([mpmath.sqrt(e) for e in eigvals]) * eigvecs.T
+        p = [[x[j, i] ** 2 for j in range(4)] for i in range(4)]
+        out = [sum(p[i][j] for i in range(4)) / 4 for j in range(4)]
+        info = sum(p[i][j] * mpmath.log(p[i][j] / out[j], 2)
+                   for i in range(4) for j in range(4) if p[i][j] > 0) / 4
+        return info, 1 - sum(p[i][i] for i in range(4)) / 4
+
+
+@pytest.mark.parametrize("kappa", [2e-4, 5e-4, 0.3, 0.8, 0.999, 0.9999])
+def test_alternative_summary_matches_mpmath(kappa):
+    info, pe = sweep._block_summary(3, kappa, "alt")
+    ref_info, ref_pe = _alternative_summary_mpmath(kappa)
+    assert abs(info - ref_info) <= 1e-12 * ref_info
+    assert abs(pe - ref_pe) <= 1e-12 * ref_pe
+
+
+def test_alternative_summary_matches_dense_route():
+    book = alternative_codebook()
+    grid = np.linspace(0.0, 1.0, 1001)
+    info, pe = sweep._block_summary(3, grid, "alt")
+    for k, i_closed, pe_closed in zip(grid, info, pe):
+        x = sqrm.principal_sqrt(cb.gram_matrix(book, k))
+        assert abs(i_closed - sqrm.mutual_information(sqrm.conditional_probabilities(x))) < 1e-14
+        assert abs(pe_closed - sqrm.average_error_probability(x)) < 1e-13
+    assert (info[0], pe[0]) == (2.0, 0.0) and (info[-1], pe[-1]) == (0.0, 0.75)
 
 
 def test_error_rate_comparison():

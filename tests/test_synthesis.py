@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import read_network, simulate_network_row_pairs
+from oracles import alternative_codebook, read_network, simulate_network_row_pairs
 from srmchannel import codebook as cb
 from srmchannel import sqrm, synthesis as syn
 from srmchannel.exceptions import (
@@ -108,18 +108,29 @@ def test_error_probability_via_v(block3):
     assert pe == pytest.approx(PE_08, abs=1e-10)
     x = sqrm.principal_sqrt(cb.gram_matrix(block3, 0.8))
     assert pe == pytest.approx(
-        sqrm.average_error_probability(block3.priors, x), abs=1e-10
+        sqrm.average_error_probability(x), abs=1e-10
     )
 
 
 def test_error_probability_via_v_alternative():
-    book = cb.alternative_codebook()
+    book = alternative_codebook()
     mu = syn.srm_vectors(book, 0.8)
     v = syn.build_decoding_unitary(syn.gram_schmidt_completion(mu, book, 0.8))
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
     assert syn.error_probability_via_v(v, book, 0.8) == pytest.approx(
-        sqrm.average_error_probability(book.priors, x), abs=1e-10
+        sqrm.average_error_probability(x), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_decoding_unitary_has_no_sign_to_realize(n):
+    # det V = +1 for the even-weight code, so decoder_network compiles no
+    # sign gate; the kappas stop short of 0.9, where Gram-Schmidt fails at n = 6.
+    book = cb.even_weight_codebook(n)
+    for kappa in [0.8] if n == 7 else np.linspace(0.05, 0.85, 17):
+        basis = syn.gram_schmidt_completion(syn.srm_vectors(book, kappa), book, kappa)
+        d, _ = syn.two_level_decompose(syn.build_decoding_unitary(basis))
+        assert np.array_equal(d, np.ones(2**n)), (n, kappa)
 
 
 def test_two_level_identity():
