@@ -9,7 +9,7 @@ or search failure, 4 resource limit.
 """
 
 import argparse
-import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,17 +34,23 @@ EXIT_RESOURCE = 4
 # Most points a --grid may hold; the paper's figure grids hold 1001.
 MAX_GRID_POINTS = 1_000_000
 
+# One row of the c1 table, 9 significant digits like the sweep CSV.
+_C1_ROW = ",".join(["%.9g"] * 4) + "\n"
+
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    """Write through a temporary file beside ``path``; an ``OSError`` names ``path``."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -92,9 +98,7 @@ def _cmd_c1(args):
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        lines = ["kappa,p,c1,holevo"]
-        lines += [",".join(sweep._fmt(v) for v in row) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("kappa,p,c1,holevo\n" + "".join(_C1_ROW % row for row in rows), args.out)
     return EXIT_OK
 
 
@@ -106,8 +110,7 @@ def _cmd_sweep(args):
     grid = _parse_grid(args.grid)
     rows = sweep.sweep_table(n_list, grid, codebook_choice=args.codebook)
     if args.json:
-        lines = [json.dumps(dataclasses.asdict(r)) for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(json.dumps(r._asdict()) for r in rows) + "\n", args.out)
     else:
         _emit(sweep.rows_to_csv(rows), args.out)
     return EXIT_OK
@@ -116,12 +119,7 @@ def _cmd_sweep(args):
 def _cmd_threshold(args):
     result = sweep.threshold_kappa(args.n, args.tol)
     if args.json:
-        payload = {
-            "n": result.n,
-            "kappa_star": result.kappa_star,
-            "bracket_width": result.bracket_width,
-        }
-        print(json.dumps(payload))
+        print(json.dumps(result._asdict()))
     else:
         print("none" if result.kappa_star is None else sweep._fmt(result.kappa_star))
     return EXIT_OK
@@ -186,6 +184,7 @@ def _cmd_gatecheck(args):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="srmchannel",

@@ -8,8 +8,8 @@ block length.  Sweeps emit plot-ready CSV tables; the threshold finder
 brackets the sign change by a coarse scan and refines it by bisection.
 """
 
-import io
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "n,kappa,c1,per_letter_info,margin,pe_block,p_single,holevo"
+# One row of the table; %.9g formats a double exactly as f"{v:.9g}" does.
+_CSV_ROW = "%d," + ",".join(["%.9g"] * 7) + "\n"
 
 # Bisection never probes beyond this point: both margin terms vanish at
 # kappa = 1 and the sign there is handled analytically.
@@ -35,8 +37,7 @@ _KAPPA_CEIL = 0.999
 _SCAN_STEP = 0.005
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     kappa: float
     c1: float
@@ -47,8 +48,7 @@ class SweepRow:
     holevo: float
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     n: int
     kappa_star: float | None
     bracket_width: float
@@ -139,7 +139,7 @@ def sweep_table(n_list, kappa_grid, codebook_choice="even"):
         info, pe = _block_summary(n, kappa, codebook_choice)
         per_letter = info / n
         columns = (kappa, c1, per_letter, per_letter - c1, pe, p_single, holevo)
-        rows += [SweepRow(n, *values) for values in zip(*(c.tolist() for c in columns))]
+        rows += map(SweepRow._make, zip(repeat(n), *(c.tolist() for c in columns)))
     return rows
 
 
@@ -156,10 +156,4 @@ def _fmt(value):
 
 def rows_to_csv(rows):
     """Render sweep rows in the regression CSV format (9 significant digits)."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in rows:
-        fields = (r.n, r.kappa, r.c1, r.per_letter_info, r.margin, r.pe_block, r.p_single, r.holevo)
-        buf.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in fields))
-        buf.write("\n")
-    return buf.getvalue()
+    return CSV_HEADER + "\n" + "".join(_CSV_ROW % r for r in rows)

@@ -7,7 +7,7 @@ import numpy as np
 
 from srmchannel import binary_channel as bc
 from srmchannel import codebook as cb
-from srmchannel import sqrm
+from srmchannel import sqrm, sweep
 from srmchannel import synthesis as syn
 from srmchannel.exceptions import DegenerateInputError
 
@@ -131,3 +131,14 @@ def simulate_network_row_pairs(gates, n):
         out[lo] = u[0, 0] * a + u[0, 1] * b
         out[hi] = u[1, 0] * a + u[1, 1] * b
     return out[index ^ frame]
+
+
+def rows_to_csv_per_field(rows):
+    """The sweep CSV built field by field: an f-string with 9 significant
+    digits for each float, ``str`` for anything else.  ``sweep.rows_to_csv``
+    must agree with it byte for byte."""
+    lines = [sweep.CSV_HEADER]
+    for r in rows:
+        fields = (r.n, r.kappa, r.c1, r.per_letter_info, r.margin, r.pe_block, r.p_single, r.holevo)
+        lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in fields))
+    return "\n".join(lines) + "\n"

@@ -208,7 +208,43 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, target):
     status, _, err = _run(capsys, *argv, str(tmp_path / target))
     assert status == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert repr(str(tmp_path / target)) in err and ".tmp-" not in err
     assert not list(tmp_path.rglob(".tmp-*"))
+
+
+def test_parser_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_calls_share_no_parse_state(capsys):
+    status, out, _ = _run(capsys, "sweep", "--n", "3", "--grid", "0:1:0.5", "--json")
+    assert status == 0 and json.loads(out.splitlines()[0])["n"] == 3
+    status, out, _ = _run(capsys, "sweep", "--n", "3", "--grid", "0:1:0.5")
+    assert status == 0 and out.splitlines()[0] == sweep.CSV_HEADER
+    status, out, _ = _run(capsys, "threshold", "--n", "3", "--json")
+    assert status == 0 and json.loads(out)["n"] == 3
+    status, out, _ = _run(capsys, "threshold", "--n", "3")
+    assert status == 0 and 0.73 <= float(out) <= 0.75
+    status, _, err = _run(capsys, "threshold")
+    assert status == 2 and "--n" in err
+
+
+# sha256 of stdout, computed when every field was formatted by its own f-string.
+TABLE_DIGESTS = (
+    (("c1", "--grid", "0:1:0.001"),
+     "67e4f8fcf266b63f48131b9c5d916971615e4ac78206434fe54d21a0e60fd1ee"),
+    (("c1", "--grid", "0:1:0.001", "--json"),
+     "f1a80b56444152453a2fc82367b75dfd8fe99399f0e8165ca74a82766e351761"),
+    (("sweep", "--n", "3,5", "--grid", "0:1:0.01", "--json"),
+     "9e29ec13656403771509fe3013bab0fef38442a0a16965a6668b2da90ae5c277"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", TABLE_DIGESTS, ids=["c1", "c1-json", "sweep-json"])
+def test_table_outputs_byte_identical(capsys, argv, digest):
+    status, out, _ = _run(capsys, *argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_threshold_block3(capsys):
