@@ -35,7 +35,8 @@ def _unit_interval(values, what):
 
 
 def _check_kappa(kappa):
-    return _unit_interval(kappa, "overlap")
+    # + 0.0 turns an overlap of -0.0 into 0.0, so no output shows "-0".
+    return _unit_interval(kappa, "overlap") + 0.0
 
 
 def binary_entropy(p):

@@ -6,11 +6,14 @@ unitary, factors, and gate network), ``gatecheck`` (pulse-sequence solve).
 
 Exit status: 0 success, 2 usage, domain or output-path error, 3 verification
 or search failure, 4 resource limit.
+
+Each subcommand imports only the layers it uses: ``synthesis`` is loaded by
+``synthesize``, ``cavityqed`` by ``gatecheck`` and ``json`` by ``--json``, so
+the capacity commands start without them.
 """
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -18,8 +21,7 @@ import tempfile
 
 import numpy as np
 
-from . import binary_channel, codebook as cb_mod, sqrm, sweep, synthesis
-from . import cavityqed
+from . import binary_channel, codebook as cb_mod, sqrm, sweep
 from .exceptions import (
     DomainError,
     ResourceError,
@@ -59,7 +61,7 @@ def _parse_grid(spec):
         start, end, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise DomainError(f"bad grid spec {spec!r}, expected start:end:step") from exc
-    if not (math.isfinite(start) and math.isfinite(end) and step > 0) or end < start:
+    if not (math.isfinite(start) and math.isfinite(end) and 0 < step < math.inf) or end < start:
         raise DomainError(f"bad grid spec {spec!r}")
     count = (end - start) / step
     if count + 1 > MAX_GRID_POINTS:
@@ -80,10 +82,9 @@ def _emit(text, out):
 
 
 def _cmd_c1(args):
-    if args.kappa is not None:
-        kappa = np.array([args.kappa])
-    else:
-        kappa = np.array(_parse_grid(args.grid))
+    kappa = binary_channel._check_kappa(
+        [args.kappa] if args.kappa is not None else _parse_grid(args.grid)
+    )
     columns = (
         kappa,
         binary_channel.crossover_probability(kappa),
@@ -92,6 +93,8 @@ def _cmd_c1(args):
     )
     rows = list(zip(*(c.tolist() for c in columns)))
     if args.json:
+        import json
+
         lines = [
             json.dumps({"kappa": k, "p": p, "c1": c, "holevo": h})
             for k, p, c, h in rows
@@ -110,6 +113,8 @@ def _cmd_sweep(args):
     grid = _parse_grid(args.grid)
     rows = sweep.sweep_table(n_list, grid, codebook_choice=args.codebook)
     if args.json:
+        import json
+
         _emit("\n".join(json.dumps(r._asdict()) for r in rows) + "\n", args.out)
     else:
         _emit(sweep.rows_to_csv(rows), args.out)
@@ -119,6 +124,8 @@ def _cmd_sweep(args):
 def _cmd_threshold(args):
     result = sweep.threshold_kappa(args.n, args.tol)
     if args.json:
+        import json
+
         print(json.dumps(result._asdict()))
     else:
         print("none" if result.kappa_star is None else sweep._fmt(result.kappa_star))
@@ -126,6 +133,8 @@ def _cmd_threshold(args):
 
 
 def _cmd_synthesize(args):
+    from . import synthesis
+
     if not 0.0 < args.kappa < 1.0:
         raise DomainError("synthesis requires 0 < kappa < 1")
     if args.n > synthesis.MAX_WIRES:
@@ -162,6 +171,8 @@ def _cmd_synthesize(args):
 
 
 def _cmd_gatecheck(args):
+    from . import cavityqed
+
     try:
         result = cavityqed.solve_sequence_params(args.g, args.delta, args.nu)
     except SearchFailureError as exc:

@@ -67,11 +67,14 @@ def even_weight_codebook(n):
 
 
 def codeword_vector(word, kappa):
-    """Tensor-product unit vector of a codeword in dimension 2**len(word)."""
+    """Tensor-product unit vector of a codeword in dimension 2**len(word).
+
+    Built with outer products: entry for entry the ``np.kron`` chain, faster.
+    """
     plus, minus = letter_states(kappa)
     vec = np.array([1.0])
     for b in word:
-        vec = np.kron(vec, minus if b == "1" else plus)
+        vec = np.multiply.outer(vec, minus if b == "1" else plus).ravel()
     return vec
 
 

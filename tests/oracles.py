@@ -37,6 +37,17 @@ def holevo_limit_dense(kappa):
     return float(h)
 
 
+def codeword_vector_kron(word, kappa):
+    """Product state of a codeword as a chain of ``np.kron`` with the letter
+    states, left to right.  ``codebook.codeword_vector`` must agree with it
+    bit for bit."""
+    plus, minus = bc.letter_states(kappa)
+    vec = np.array([1.0])
+    for b in word:
+        vec = np.kron(vec, minus if b == "1" else plus)
+    return vec
+
+
 def alternative_codebook():
     """The non-superadditive four-word block-3 set {000, 100, 011, 111}, whose
     SRM summary the library computes in closed form."""

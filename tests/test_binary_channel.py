@@ -25,6 +25,12 @@ def test_letter_states_endpoints(kappa, expected):
     assert np.allclose(minus, expected)
 
 
+def test_negative_zero_overlap_is_zero():
+    _, minus = bc.letter_states(-0.0)
+    assert not np.signbit(minus[0])
+    assert not np.signbit(bc._check_kappa(np.array([-0.0, 0.5]))).any()
+
+
 @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
 def test_kappa_domain(bad):
     with pytest.raises(DomainError):

@@ -31,6 +31,14 @@ def test_c1_orthogonal_letters(capsys):
     assert out.splitlines()[1] == "0,0,1,1"
 
 
+def test_c1_negative_zero_prints_zero(capsys):
+    status, out, _ = _run(capsys, "c1", "--kappa", "-0")
+    assert status == 0
+    assert out.splitlines()[1] == "0,0,1,1"
+    status, out, _ = _run(capsys, "c1", "--kappa", "-0", "--json")
+    assert out.startswith('{"kappa": 0.0,')
+
+
 def test_c1_out_of_range(capsys):
     status, _, err = _run(capsys, "c1", "--kappa", "1.5")
     assert status == 2
@@ -51,7 +59,7 @@ def test_c1_bad_grid(capsys):
     assert "grid" in err
 
 
-@pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan", "-inf:0:1", "nan:1:0.1"])
+@pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan", "0:1:inf", "-inf:0:1", "nan:1:0.1"])
 def test_non_finite_grid_is_a_domain_error(capsys, grid):
     status, _, err = _run(capsys, "sweep", "--n", "3", "--grid", grid)
     assert status == 2

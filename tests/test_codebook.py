@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from oracles import alternative_codebook
+from oracles import alternative_codebook, codeword_vector_kron
 from srmchannel import codebook as cb
 from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, ResourceError, StructureError
@@ -84,6 +85,17 @@ def test_codeword_vector_basis_cases():
         vec = cb.codeword_vector(word, 0.0)
         assert vec[int(word, 2)] == pytest.approx(1.0)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-6, 0.8, 1.0])
+def test_codeword_vector_matches_kron_chain(kappa):
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for _ in range(8):
+            word = "".join(rng.choice("01") for _ in range(n))
+            vec = cb.codeword_vector(word, kappa)
+            assert vec.shape == (2**n,)
+            assert np.array_equal(vec, codeword_vector_kron(word, kappa)), word
 
 
 def test_codeword_overlap_is_kappa_to_hamming():

@@ -1,0 +1,89 @@
+"""Each subcommand loads only the layers it uses, and a repeated call prints
+the same bytes as the first one, which paid for the loading.
+
+Every case runs in a fresh interpreter, since the test process has imported
+every module already.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Calls cli.main twice with the given argv, recording what the first call
+# loaded and the stdout and written files of both calls.
+SCRIPT = """
+import contextlib, io, os, sys
+from srmchannel import cli
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    files = {}
+    if "--out" in argv:
+        folder = argv[argv.index("--out") + 1]
+        for name in sorted(os.listdir(folder)):
+            with open(os.path.join(folder, name)) as fh:
+                files[name] = fh.read()
+    return status, out.getvalue(), files
+
+argv = sys.argv[1:]
+first = call(argv)
+watched = ("json", "srmchannel.synthesis", "srmchannel.cavityqed")
+loaded = sorted(m for m in watched if m in sys.modules)
+print(repr((loaded, first, call(argv))))
+"""
+
+# argv and the watched modules the subcommand must load; None stands for the
+# output directory.
+CASES = {
+    "c1": (["c1", "--grid", "0:1:0.01"], []),
+    "c1-json": (["c1", "--kappa", "0.8", "--json"], ["json"]),
+    "sweep": (["sweep", "--n", "3,5", "--grid", "0:1:0.05"], []),
+    "threshold": (["threshold", "--n", "3"], []),
+    "synthesize": (["synthesize", "--n", "3", "--kappa", "0.8", "--out", None],
+                   ["srmchannel.synthesis"]),
+    "gatecheck": (["gatecheck"], ["srmchannel.cavityqed"]),
+}
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out_dir = str(tmp_path_factory.mktemp("net"))
+    runs = {}
+    for case, (argv, _) in CASES.items():
+        argv = [out_dir if a is None else a for a in argv]
+        result = subprocess.run(
+            [sys.executable, "-c", SCRIPT, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        runs[case] = ast.literal_eval(result.stdout)
+    return runs
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_subcommand_loads_only_its_layers(fresh_runs, case):
+    loaded, _, _ = fresh_runs[case]
+    assert loaded == CASES[case][1]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_second_call_prints_the_same_bytes(fresh_runs, case):
+    _, first, second = fresh_runs[case]
+    assert first[0] == 0
+    assert first[1]
+    assert second == first
+
+
+def test_synthesize_writes_its_three_files(fresh_runs):
+    _, (_, _, files), _ = fresh_runs["synthesize"]
+    assert sorted(files) == ["factors.txt", "network.txt", "v.txt"]
