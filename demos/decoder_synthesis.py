@@ -3,9 +3,10 @@
 The square-root measurement on the block-3 even-weight code is a projective
 measurement in an orthonormal basis, so it can be run as a basis-change
 unitary V followed by a measurement in the computational basis.  This demo
-builds V, factors it into two-level rotations, compiles those into one- and
-two-bit gates, and simulates the network to confirm it reproduces the SRM
-statistics.
+builds V, factors it into two-level rotations, compiles those into fully
+controlled gates whose 0-controls are met by single-wire X flips, expands
+them into gates with at most one control, and simulates the network to
+confirm it reproduces the SRM statistics.
 """
 
 import numpy as np
@@ -42,10 +43,16 @@ print()
 # ------------------------------------------------------------------
 # gate network
 # ------------------------------------------------------------------
+# Each two-level rotation becomes a few flips and one rotation, every one
+# controlled on all other wires.  A control on a wire that holds 0 needs that
+# wire flipped by a plain X (one single-atom pulse in the cavity-QED
+# setting).  The compiler tracks which wires are flipped, the X frame, and
+# between two controlled gates flips only the wires whose state changes.
 counts = {}
 for g in gates:
     counts[type(g).__name__] = counts.get(type(g).__name__, 0) + 1
-print(f"gate network: {len(gates)} gates {counts}")
+plain_x = sum(isinstance(g, syn.ControlledFlip) and not g.controls for g in gates)
+print(f"gate network: {len(gates)} gates {counts}, {plain_x} of them plain X")
 u = syn.simulate_network(gates, 3)
 print(f"network vs V               = {np.max(np.abs(u - v)):.1e}")
 

@@ -153,10 +153,8 @@ def _cmd_synthesize(args):
         print("verification failed: gate network does not match V", file=sys.stderr)
         return EXIT_VERIFY
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(
-        os.path.join(args.out, "v.txt"),
-        "\n".join(" ".join(f"{x:.17g}" for x in row) for row in v) + "\n",
-    )
+    row = " ".join(["%.17g"] * len(v)) + "\n"
+    _atomic_write(os.path.join(args.out, "v.txt"), "".join(row % tuple(r) for r in v.tolist()))
     _atomic_write(
         os.path.join(args.out, "factors.txt"),
         "\n".join(f"{f.i} {f.j} {f.gamma:.17g}" for f in factors) + "\n",

@@ -153,3 +153,30 @@ def rows_to_csv_per_field(rows):
         fields = (r.n, r.kappa, r.c1, r.per_letter_info, r.margin, r.pe_block, r.p_single, r.holevo)
         lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in fields))
     return "\n".join(lines) + "\n"
+
+
+def factor_to_gates_conjugated(factor, n):
+    """One two-level rotation compiled gate by gate: the Gray-code mapping
+    flips, the rotation and the mapping undone, each fully controlled and
+    wrapped in its own uncontrolled flips on the wires where its basis state
+    holds 0.  ``synthesis.factor_to_gates`` must emit the same controlled gates
+    in the same order, and its network must give the same unitary bit for bit."""
+
+    def bit(index, wire):
+        return (index >> (n - 1 - wire)) & 1
+
+    def conjugated(make, current, target):
+        zero = [syn.ControlledFlip((), w) for w in range(n) if w != target and not bit(current, w)]
+        controls = tuple(w for w in range(n) if w != target)
+        return zero + [make(controls, target)] + zero[::-1]
+
+    diff = [w for w in range(n) if bit(factor.i, w) != bit(factor.j, w)]
+    target = diff[-1]
+    mapping = []
+    current = factor.i
+    for w in diff[:-1]:
+        mapping.extend(conjugated(syn.ControlledFlip, current, w))
+        current ^= 1 << (n - 1 - w)
+    angle = 2.0 * factor.gamma if bit(current, target) == 0 else -2.0 * factor.gamma
+    core = conjugated(lambda c, t: syn.ControlledRotation(c, t, angle), current, target)
+    return mapping + core + mapping[::-1]

@@ -294,32 +294,34 @@ def test_synthesize_writes_artifacts(tmp_path, capsys):
 
 
 # sha256 of what `synthesize --n N --kappa 0.8` writes, as the row-pair
-# simulator and the per-gate text writer produced it; the file digests are
-# the benchmark reference's.
+# simulator and the per-gate text writer produced it.  The stdout, v.txt and
+# factors.txt digests are the benchmark reference's; network.txt is the
+# X-frame compile's, whose controlled gates and unitary equal the reference's
+# per-gate X-wrapped network (tests/test_x_frame.py).
 SYNTHESIZE_DIGESTS = {
     3: {
         "stdout": "5ec6e97e299a4d9c45ce208e1f919f66ec1ab7dea5efa6b9bdc0286c6b1fa7b8",
         "v.txt": "71719e260f760e0ae6549f92d0d0f2e124779c77d8b9687b0bd11fb0f78f5997",
         "factors.txt": "e8321b94071f3ece4b3631b500a3af7ef68f426e279de0e1f4666520c611bbbe",
-        "network.txt": "4e5a7d0130cbb9718588959dbb3fd7c699323787d89f4c6daf4ff7aa7c3a9bbc",
+        "network.txt": "b3f3ce65a6b8718b0bc872e7cfa7cb13ff6f192b0541d7e58db13dbb0800a032",
     },
     4: {
         "stdout": "bf4dc2fd9d1a57614ce5f628422e23bf2a275e84b7d9eb1a42d14ab7eb4efe27",
         "v.txt": "e0a1f55519280eb56388b176d167770e42ac505cd72cd8638571039b92e03ee3",
         "factors.txt": "fc256d35742542c0b62aa1674ddb80e7ec6c9d099d3e4ccf63630751dd768cb6",
-        "network.txt": "1ce3a986026ee6bb9ed0c79c5c23dbe73cbf7c5f78d2e8f7496083812cedc53c",
+        "network.txt": "b6652f1cb75a2d932a2f37bd069b8ae2c401e672b29648cab9a87ce088b8478a",
     },
     5: {
         "stdout": "fd303fc0a5c7887ec18344c042fee74458a7a15e29b8cd8a4fde6d7e0ecdccce",
         "v.txt": "93d7e266461b4860fbd515101e0767c322b720ab608b667f4c1b8bdcb35e8485",
         "factors.txt": "3bccb4057560da479c4d5571f3ffafb12b1d5f4ee75f3a7b6131c73d75b974bc",
-        "network.txt": "9d7aba4c473116772d386ca7a3f94c19225982fba5d5616cda9295d62d3ec53f",
+        "network.txt": "f0eab7a6a552ce39973a4d25a383e270c7b6d58ccbf968fc862cb0a77fe6060d",
     },
     6: {
         "stdout": "5dd48d91d09036dc46105c7d892c77e810dc85be4e502dfde37a4d103b0ec815",
         "v.txt": "d13347afbb2408d0a0a52b251451aff46abe8f24c13b547d0aabc35daaad0260",
         "factors.txt": "d4b6278e83571f87e09225bee3380f03f3f36424dab8187b6c25163349752aa0",
-        "network.txt": "036a160d3b6204c808de8bd2ac533d834e54d409012daa594d94e78a496d10b1",
+        "network.txt": "008a2427a66ac2f2d4292fbe5ea1496a6159a1460e22a802f29ac2e81927c16e",
     },
 }
 
