@@ -68,9 +68,6 @@ for scale in (0.25, 0.20, 0.15, 0.10):
     t = scale * np.pi / g_eff
     tau_prime = 2.0 * np.pi / nu
     tau = tau_prime + t + g_eff * t / nu
-    trial = cq.PulseParams(
-        g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime,
-        eps_abs=np.pi / (4.0 * tau), eps_prime_abs=np.pi / (4.0 * tau_prime), t=t,
-    )
+    trial = cq.PulseParams(g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime, t=t)
     b, _ = cq.sw_gate_sequence(trial)
     print(f"    {scale:.2f}          {cq.invariant_distance(b, target):.3e}")

@@ -8,7 +8,7 @@ conditioning on the cavity returning to vacuum yields a two-atom gate in
 the local-equivalence class of a controlled square-root-of-NOT; class
 membership is certified by the standard pair of two-qubit local
 invariants, not by entrywise comparison, because trailing single-atom
-phases depend on conventions.
+phases depend on conventions.  Both Ramsey pulses have area pi/4.
 
 Basis orders: single atom (up, down); atom (x) cavity with the photon
 number fastest; two atoms (x) cavity as (a, b, c) with c fastest.
@@ -53,22 +53,33 @@ _MAGIC = np.array(
     dtype=complex,
 ) / np.sqrt(2.0)
 
+# Square root of NOT: the core of the target two-bit gate.
+_SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+_SQRT_X.flags.writeable = False
+
 # Local-class fidelity the solved pulse sequence must reach.
 _FIDELITY_FLOOR = 0.999
 
 
 @dataclass(frozen=True)
 class PulseParams:
-    """Physical parameters of the two-bit gate sequence (SI units)."""
+    """Physical parameters of the two-bit gate sequence (SI units); the Ramsey
+    pump amplitudes follow from the durations, as both pulse areas are pi/4."""
 
     g: float
     delta: float
     nu: float
     tau: float
     tau_prime: float
-    eps_abs: float
-    eps_prime_abs: float
     t: float
+
+    @property
+    def eps_abs(self):
+        return np.pi / (4.0 * self.tau)
+
+    @property
+    def eps_prime_abs(self):
+        return np.pi / (4.0 * self.tau_prime)
 
     @property
     def g_eff(self):
@@ -153,13 +164,8 @@ def sw_gate_sequence(params):
 
     Returns ``(block, leakage)``: the 4x4 two-atom operator conditioned on
     the cavity returning to |0>, and the largest norm of any amplitude
-    leaving the vacuum block.  Requires both Ramsey pulse areas to equal
-    pi/4.
+    leaving the vacuum block.  Both Ramsey pulse areas are pi/4.
     """
-    if abs(params.eps_abs * params.tau - np.pi / 4.0) > 1e-12 or abs(
-        params.eps_prime_abs * params.tau_prime - np.pi / 4.0
-    ) > 1e-12:
-        raise DomainError("both Ramsey pulse areas must equal pi/4")
     dims = (2, 2, 2)  # atom a, atom b, cavity
     rx = single_bit_rotation("x", np.pi)
     rz = single_bit_rotation("z", -1.25 * np.pi)
@@ -183,9 +189,8 @@ def sw_gate_sequence(params):
 def controlled_sqrt_not():
     """The target gate: apply the square root of NOT when the control atom
     is in its lower level."""
-    sqrt_x = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
     out = np.eye(4, dtype=complex)
-    out[2:, 2:] = sqrt_x
+    out[2:, 2:] = _SQRT_X
     return out
 
 
@@ -233,21 +238,20 @@ def local_class_fidelity(block):
     if off > 1e-6:
         return 0.0
     rel = b_up.conj().T @ b_dn
-    sqrt_x = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
     best = 0.0
     for frame in (np.eye(2), _PAULI["z"]):
         dressed = frame @ rel @ frame
-        best = max(best, (2.0 + abs(np.trace(sqrt_x.conj().T @ dressed))) / 4.0)
+        best = max(best, (2.0 + abs(np.trace(_SQRT_X.conj().T @ dressed))) / 4.0)
     return float(best)
 
 
 def solve_sequence_params(g, delta, nu):
     """Choose pulse durations realizing the controlled-sqrt-NOT class.
 
-    Pulse areas are pinned to pi/4, the dispersive duration is the analytic
-    g_eff t = pi/4, and the printed phase relation fixes tau in terms of tau'
-    and t.  The composed sequence is verified by its local-class fidelity;
-    below ``_FIDELITY_FLOOR`` a SearchFailureError carries the candidate.
+    The dispersive duration is the analytic g_eff t = pi/4, and the printed
+    phase relation fixes tau in terms of tau' and t.  The composed sequence
+    is verified by its local-class fidelity; below ``_FIDELITY_FLOOR`` a
+    SearchFailureError carries the candidate.
     """
     if not np.all(np.isfinite((g, delta, nu))):
         raise DomainError("g, delta and nu must be finite")
@@ -256,6 +260,8 @@ def solve_sequence_params(g, delta, nu):
     g_eff = g * g / delta
     if g_eff == 0.0:
         raise DomainError(f"g_eff = g^2/delta underflows to zero for g = {g}, delta = {delta}")
+    if not np.isfinite(g_eff):
+        raise DomainError(f"g_eff = g^2/delta overflows to {g_eff} for g = {g}, delta = {delta}")
     t = np.pi / (4.0 * abs(g_eff))
     tau_prime = 2.0 * np.pi / nu
     # phase relation: nu (tau - tau')/2 = nu t / 2 + g_eff t / 2 (mod 2 pi);
@@ -263,10 +269,7 @@ def solve_sequence_params(g, delta, nu):
     tau = tau_prime + t + g_eff * t / nu
     if not np.all(np.isfinite((t, tau_prime, tau))):
         raise DomainError(f"pulse durations overflow: t = {t}, tau' = {tau_prime}, tau = {tau}")
-    params = PulseParams(
-        g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime,
-        eps_abs=np.pi / (4.0 * tau), eps_prime_abs=np.pi / (4.0 * tau_prime), t=t,
-    )
+    params = PulseParams(g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime, t=t)
     block, leakage = sw_gate_sequence(params)
     result = {
         "params": params,

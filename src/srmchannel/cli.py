@@ -160,11 +160,12 @@ def _cmd_synthesize(args):
         "\n".join(f"{f.i} {f.j} {f.gamma:.17g}" for f in factors) + "\n",
     )
     _atomic_write(os.path.join(args.out, "network.txt"), synthesis.network_to_text(gates))
-    x = sqrm.principal_sqrt(cb_mod.gram_matrix(book, args.kappa))
-    pe = sqrm.average_error_probability(x)
+    # the even-weight channel is symmetric: every P(w|w) is 1 - P_e
+    _, pe = sqrm.even_weight_summary(args.n, args.kappa)
+    hit = sweep._fmt(1.0 - pe)
     print(f"P_e {sweep._fmt(pe)}")
-    for m, w in enumerate(book.words):
-        print(f"P({w}|{w}) {sweep._fmt(x[m, m] ** 2)}")
+    for w in book.words:
+        print(f"P({w}|{w}) {hit}")
     return EXIT_OK
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "conditional_probabilities",
     "mutual_information",
     "i3_closed_form",
-    "average_error_probability",
     "xor_fast_path",
     "fast_srm_summary",
     "even_weight_summary",
@@ -104,12 +103,6 @@ def i3_closed_form(kappa):
     if b > 0.0:
         info += 3.0 * b * np.log2(b)
     return float(info)
-
-
-def average_error_probability(x):
-    """SRM average error probability 1 - sum_m zeta_m x_mm^2, zeta_m = 1/M."""
-    x = np.asarray(x, dtype=float)
-    return float(1.0 - np.mean(np.diag(x) ** 2))
 
 
 def srm_vectors(codebook, kappa):

@@ -9,7 +9,10 @@ flips (Gray-code mapping), one y-rotation and the mapping undone, with plain
 flips that change an X frame only where 0-controls change.  Every gate is a
 2x2 core on a target wire under a set of control wires, and a simulator
 that relabels rows for every flip and mixes row pairs with the other cores
-verifies every network.
+verifies every network.  ``expand_network`` rewrites each doubly
+controlled gate into five one-control gates with exact square-root cores; a
+Toffoli becomes three controlled square roots of NOT (the two-bit gate of
+``cavityqed``) and two controlled NOTs.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
@@ -40,7 +43,6 @@ __all__ = [
     "recompose",
     "factor_to_gates",
     "decoder_network",
-    "decompose_doubly_controlled",
     "expand_network",
     "simulate_network",
     "network_to_text",
@@ -55,6 +57,9 @@ _OMIT_BELOW = 1e-12
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_X.flags.writeable = False  # shared as every ControlledFlip.core
+# Square root of sigma_x, symmetric so its adjoint is its conjugate.
+_SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+_SQRT_X.flags.writeable = False
 
 
 def ry_matrix(theta):
@@ -280,52 +285,29 @@ def decoder_network(codebook, kappa):
     return v, d, factors, gates
 
 
-def decompose_doubly_controlled(core, wires=(0, 1, 2)):
-    """Five-gate network for a doubly controlled 2x2 core.
-
-    Uses the standard identity with W * W = core:  a controlled-W between
-    the second control and the target, conjugated CNOTs on the controls with
-    a controlled-W^dagger in between, and a final controlled-W from the
-    first control.  Real rotation cores yield serializable networks; other
-    cores fall back to generic controlled unitaries.
-    """
-    c1, c2, t = wires
-    core = np.asarray(core, dtype=complex)
-    if np.max(np.abs(core.conj().T @ core - np.eye(2))) > 1e-10:
-        raise DomainError("core must be unitary")
-
-    def half(u):
-        # principal square root of a 2x2 unitary via eigendecomposition
-        eigvals, eigvecs = np.linalg.eig(u)
-        return eigvecs @ np.diag(np.sqrt(eigvals.astype(complex))) @ np.linalg.inv(eigvecs)
-
-    w = half(core)
-
-    def c_gate(control, target, u):
-        if np.max(np.abs(u.imag)) < 1e-14 and abs(np.linalg.det(u.real) - 1.0) < 1e-12:
-            r = u.real
-            angle = 2.0 * np.arctan2(r[1, 0], r[0, 0])
-            return ControlledRotation(controls=(control,), target=target, angle=angle)
-        return ControlledUnitary(controls=(control,), target=target, core=u)
-
-    return [
-        c_gate(c2, t, w),
-        ControlledFlip(controls=(c1,), target=c2),
-        c_gate(c2, t, w.conj().T),
-        ControlledFlip(controls=(c1,), target=c2),
-        c_gate(c1, t, w),
-    ]
-
-
 def expand_network(gates):
-    """Rewrite two-control gates through the five-gate construction."""
+    """Rewrite each doubly controlled rotation or flip as C_c2(W), CX(c1 -> c2),
+    C_c2(W^dagger), CX(c1 -> c2), C_c1(W) with W * W = core (Barenco et al.,
+    PRA 52, 3457, Lemma 6.1).  W is exact: R_y(theta/2) for a rotation by
+    theta, and the square root of NOT for a flip, which makes each C(W) the
+    two-bit gate of Sleator and Weinfurter (PRL 74, 4087)."""
     out = []
     for g in gates:
-        if isinstance(g, (ControlledRotation, ControlledFlip)) and len(g.controls) == 2:
-            wires = (g.controls[0], g.controls[1], g.target)
-            out.extend(decompose_doubly_controlled(g.core, wires))
-        else:
+        if not isinstance(g, (ControlledRotation, ControlledFlip)) or len(g.controls) != 2:
             out.append(g)
+            continue
+        (c1, c2), t = g.controls, g.target
+        if isinstance(g, ControlledRotation):
+            half = g.angle / 2.0
+            w, w_dag, last = (ControlledRotation((c2,), t, half),
+                              ControlledRotation((c2,), t, -half),
+                              ControlledRotation((c1,), t, half))
+        else:
+            w, w_dag, last = (ControlledUnitary((c2,), t, _SQRT_X),
+                              ControlledUnitary((c2,), t, _SQRT_X.conj()),
+                              ControlledUnitary((c1,), t, _SQRT_X))
+        cx = ControlledFlip((c1,), c2)
+        out += [w, cx, w_dag, cx, last]
     return out
 
 

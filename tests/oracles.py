@@ -54,6 +54,13 @@ def alternative_codebook():
     return cb.Codebook(n=3, words=("000", "100", "011", "111"))
 
 
+def average_error_probability(x):
+    """Dense SRM average error probability 1 - sum_m zeta_m x_mm^2, zeta_m = 1/M,
+    from the channel matrix (principal Gram root) ``x``."""
+    x = np.asarray(x, dtype=float)
+    return float(1.0 - np.mean(np.diag(x) ** 2))
+
+
 def optimal_measurement(kappa):
     """Orthonormal measurement pair attaining C1, in the planar coordinates of
     ``letter_states``.  The induced channel ``P(j|i) = (omega_j @ s_i)**2`` is

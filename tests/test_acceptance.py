@@ -14,7 +14,12 @@ from srmchannel import cavityqed as cq
 from srmchannel import codebook as cb
 from srmchannel import sqrm, sweep, synthesis as syn
 
-from oracles import encoder_rotation, holevo_condition_check, product_decoding_information
+from oracles import (
+    average_error_probability,
+    encoder_rotation,
+    holevo_condition_check,
+    product_decoding_information,
+)
 
 
 def _report(number, label, ok):
@@ -127,7 +132,7 @@ def test_criterion_09_decoder_synthesis():
         )
         ok &= np.max(np.abs(amps**2 - np.diag(x) ** 2)) < 1e-10
         pe = syn.error_probability_via_v(v, book3, kappa)
-        ok &= abs(pe - sqrm.average_error_probability(x)) < 1e-10
+        ok &= abs(pe - average_error_probability(x)) < 1e-10
         ok &= np.max(np.abs(syn.recompose(d, factors) - v)) < 1e-10
         ok &= np.max(np.abs(syn.simulate_network(gates, 3) - v)) < 1e-9
     _report(9, "synthesis chain verified at kappa = 0.5, 0.8", bool(ok))

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import read_network
-from srmchannel import cavityqed as cq, cli, sqrm, sweep, synthesis as syn
+from oracles import average_error_probability, read_network
+from srmchannel import cavityqed as cq, cli, codebook as cb, sqrm, sweep, synthesis as syn
 
 
 def _run(capsys, *argv):
@@ -339,6 +339,21 @@ def test_synthesize_outputs_byte_identical(tmp_path, capsys, n):
     assert digests == SYNTHESIZE_DIGESTS[n]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_synthesize_stdout_matches_dense_route(tmp_path, capsys, n):
+    # the printed digits come from the even-weight closed form; the dense
+    # Gram root, its squared diagonal and the mean error stay the reference
+    book = cb.even_weight_codebook(n)
+    for kappa in (0.05, 0.3, 0.5, 0.77, 0.8, 0.9):
+        status, out, _ = _run(capsys, "synthesize", "--n", str(n), "--kappa", str(kappa),
+                              "--out", str(tmp_path / "net"))
+        assert status == 0
+        x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
+        dense = [f"P_e {sweep._fmt(average_error_probability(x))}"] + [
+            f"P({w}|{w}) {sweep._fmt(x[m, m] ** 2)}" for m, w in enumerate(book.words)]
+        assert out.splitlines() == dense, kappa
+
+
 def test_synthesize_byte_identical_reruns(tmp_path, capsys):
     out_dir = tmp_path / "net"
     _run(capsys, "synthesize", "--kappa", "0.5", "--out", str(out_dir))
@@ -397,6 +412,7 @@ def test_threshold_nan_tolerance_is_a_domain_error(capsys):
         (("--g", "1e-200"), "underflows"),
         (("--g", "1e-160"), "overflow"),
         (("--nu", "1e-320"), "overflow"),
+        (("--g", "1e200"), "g_eff"),
     ],
 )
 def test_gatecheck_non_finite_or_degenerate_is_a_domain_error(capsys, argv, message):

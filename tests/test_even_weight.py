@@ -10,6 +10,8 @@ from srmchannel import codebook as cb
 from srmchannel import sqrm, sweep
 from srmchannel.exceptions import DomainError, ResourceError
 
+from oracles import average_error_probability
+
 mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -77,7 +79,7 @@ def test_three_routes_agree(n, kappa):
     book = cb.even_weight_codebook(n)
     x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
     p = sqrm.conditional_probabilities(x)
-    dense = (sqrm.mutual_information(p), sqrm.average_error_probability(x))
+    dense = (sqrm.mutual_information(p), average_error_probability(x))
     fast = sqrm.fast_srm_summary(book, kappa)
     closed = sqrm.even_weight_summary(n, kappa)
     assert np.allclose(dense, fast, rtol=0.0, atol=1e-10)

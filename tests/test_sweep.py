@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import alternative_codebook
+from oracles import alternative_codebook, average_error_probability
 from srmchannel import cli, codebook as cb, sqrm, sweep
 from srmchannel.exceptions import DomainError, ResourceError
 
@@ -157,7 +157,7 @@ def test_alternative_summary_matches_dense_route():
     for k, i_closed, pe_closed in zip(grid, info, pe):
         x = sqrm.principal_sqrt(cb.gram_matrix(book, k))
         assert abs(i_closed - sqrm.mutual_information(sqrm.conditional_probabilities(x))) < 1e-14
-        assert abs(pe_closed - sqrm.average_error_probability(x)) < 1e-13
+        assert abs(pe_closed - average_error_probability(x)) < 1e-13
     assert (info[0], pe[0]) == (2.0, 0.0) and (info[-1], pe[-1]) == (0.0, 0.75)
 
 

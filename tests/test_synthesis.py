@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import alternative_codebook, read_network, simulate_network_row_pairs
+from oracles import (
+    alternative_codebook,
+    average_error_probability,
+    read_network,
+    simulate_network_row_pairs,
+)
 from srmchannel import codebook as cb
 from srmchannel import sqrm, synthesis as syn
 from srmchannel.exceptions import (
@@ -108,7 +113,7 @@ def test_error_probability_via_v(block3):
     assert pe == pytest.approx(PE_08, abs=1e-10)
     x = sqrm.principal_sqrt(cb.gram_matrix(block3, 0.8))
     assert pe == pytest.approx(
-        sqrm.average_error_probability(x), abs=1e-10
+        average_error_probability(x), abs=1e-10
     )
 
 
@@ -118,7 +123,7 @@ def test_error_probability_via_v_alternative():
     v = syn.build_decoding_unitary(syn.gram_schmidt_completion(mu, book, 0.8))
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
     assert syn.error_probability_via_v(v, book, 0.8) == pytest.approx(
-        sqrm.average_error_probability(x), abs=1e-10
+        average_error_probability(x), abs=1e-10
     )
 
 
@@ -201,27 +206,32 @@ def test_factor_gates_random(seed):
     assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
 
 
-def test_decompose_doubly_controlled_rotation():
-    core = syn.ry_matrix(0.8)
-    net = syn.decompose_doubly_controlled(core)
+@pytest.mark.parametrize("theta", [0.8, np.pi, 1.9 * np.pi, 2 * np.pi - 1e-9, 2 * np.pi, -2 * np.pi])
+def test_expand_network_doubly_controlled_rotation(theta):
+    net = syn.expand_network([syn.ControlledRotation((0, 1), 2, theta)])
+    assert [type(g) for g in net] == [syn.ControlledRotation, syn.ControlledFlip] * 2 + [
+        syn.ControlledRotation]
+    assert [len(g.controls) for g in net] == [1] * 5
+    assert [g.angle for g in net[::2]] == [theta / 2.0, -theta / 2.0, theta / 2.0]
     u = syn.simulate_network(net, 3)
+    assert u.dtype == float
     ref = np.eye(8)
-    ref[6:8, 6:8] = core
-    assert np.max(np.abs(u - ref)) < 1e-10
+    ref[6:8, 6:8] = syn.ry_matrix(theta)
+    assert np.max(np.abs(u - ref)) < 1e-14
 
 
-def test_decompose_doubly_controlled_toffoli():
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    net = syn.decompose_doubly_controlled(sigma_x)
-    u = syn.simulate_network(net, 3)
+def test_expand_network_toffoli():
+    sqrt_x = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+    net = syn.expand_network([syn.ControlledFlip((0, 1), 2)])
+    assert [(type(g), g.controls, g.target) for g in net] == [
+        (syn.ControlledUnitary, (1,), 2), (syn.ControlledFlip, (0,), 1),
+        (syn.ControlledUnitary, (1,), 2), (syn.ControlledFlip, (0,), 1),
+        (syn.ControlledUnitary, (0,), 2)]
+    for gate, core in zip(net[::2], (sqrt_x, sqrt_x.conj().T, sqrt_x)):
+        assert np.array_equal(gate.core, core)
     toffoli = np.eye(8)
     toffoli[[6, 7]] = toffoli[[7, 6]]
-    assert np.max(np.abs(u - toffoli)) < 1e-10
-
-
-def test_decompose_doubly_controlled_identity():
-    net = syn.decompose_doubly_controlled(np.eye(2))
-    assert np.max(np.abs(syn.simulate_network(net, 3) - np.eye(8))) < 1e-10
+    assert np.max(np.abs(syn.simulate_network(net, 3) - toffoli)) < 1e-14
 
 
 def test_expand_network_matches_original(block3):
@@ -233,6 +243,15 @@ def test_expand_network_matches_original(block3):
     )
     u = syn.simulate_network(expanded, 3)
     assert np.max(np.abs(np.abs(np.trace(u.conj().T @ v)) - 8.0)) < 1e-8
+
+
+def test_expand_network_matches_decoder_over_kappa(block3):
+    for kappa in np.arange(0.05, 0.995, 0.01):
+        _, _, _, gates = syn.decoder_network(block3, kappa)
+        expanded = syn.expand_network(gates)
+        assert max(len(g.controls) for g in expanded) == 1
+        u = syn.simulate_network(expanded, 3)
+        assert np.max(np.abs(u - syn.simulate_network(gates, 3))) < 1e-14, kappa
 
 
 def test_simulate_network_basics():
