@@ -25,11 +25,12 @@ print(f"V is {v.shape[0]}x{v.shape[1]}, orthogonality defect "
       f"{np.max(np.abs(v.T @ v - np.eye(8))):.1e}")
 
 x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
+amps = np.array([v[m] @ cb.codeword_vector(w, kappa) for m, w in enumerate(book.words)])
 print("codeword detection amplitudes <m|V|S_m> vs Gram-root diagonal:")
-for m, w in enumerate(book.words):
-    amp = v[m] @ cb.codeword_vector(w, kappa)
-    print(f"  {w}: {amp:.12f}   (x_mm = {x[m, m]:.12f})")
-print(f"average error probability  = {syn.error_probability_via_v(v, book, kappa):.9f}")
+for w, amp, x_mm in zip(book.words, amps, np.diag(x)):
+    print(f"  {w}: {amp:.12f}   (x_mm = {x_mm:.12f})")
+# each codeword is decoded correctly with probability <m|V|S_m>^2
+print(f"average error probability  = {1.0 - np.mean(amps**2):.9f}")
 print()
 
 # ------------------------------------------------------------------

@@ -58,12 +58,10 @@ print()
 # the paradox: more information per letter, yet worse block error rate
 # ------------------------------------------------------------------
 print(" kappa   margin/letter   P_e(block)   p(single)")
-for kappa in (0.5, 0.7, 0.8, 0.9, 0.95):
-    margin = sweep.superadditivity_margin(3, kappa)
-    rates = sweep.error_rate_comparison(3, kappa)
+for row in sweep.sweep_table([3], [0.5, 0.7, 0.8, 0.9, 0.95]):
     print(
-        f"  {kappa:.2f}     {margin:+.6f}     {rates['pe_block']:.6f}    "
-        f"{rates['p_single']:.6f}"
+        f"  {row.kappa:.2f}     {row.margin:+.6f}     {row.pe_block:.6f}    "
+        f"{row.p_single:.6f}"
     )
 print()
 print("the alternative codebook {000, 100, 011, 111} never goes positive:")

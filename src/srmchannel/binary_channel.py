@@ -68,9 +68,7 @@ def crossover_probability(kappa):
 
 def capacity_c1(kappa):
     """One-shot capacity C1 = 1 - H(p) in bits."""
-    kappa = _check_kappa(kappa)
-    c1 = 1.0 - binary_entropy(crossover_probability(kappa))
-    return np.where(kappa == 1.0, 0.0, c1)[()]
+    return 1.0 - binary_entropy(crossover_probability(kappa))
 
 
 def holevo_limit(kappa):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, ResonanceError, SearchFailureError
+from .exceptions import DomainError, SearchFailureError
 
 __all__ = [
     "PulseParams",
@@ -84,7 +84,7 @@ class PulseParams:
     @property
     def g_eff(self):
         if self.delta == 0.0:
-            raise ResonanceError("zero detuning: dispersive coupling undefined")
+            raise DomainError("zero detuning: dispersive coupling undefined")
         return self.g**2 / self.delta
 
     def to_text(self):
@@ -114,7 +114,7 @@ def off_resonant(t, g, delta, nu):
     level 0 is the upper state.
     """
     if delta == 0.0:
-        raise ResonanceError("zero detuning: use the on-resonant interaction")
+        raise DomainError("zero detuning: use the on-resonant interaction")
     g_eff = g * g / delta
     phases = np.empty(4, dtype=complex)
     for n in range(2):
@@ -197,7 +197,7 @@ def controlled_sqrt_not():
 def local_invariants(u):
     """Two-qubit local invariants (complex, real) via the magic basis."""
     u = np.asarray(u, dtype=complex)
-    if np.max(np.abs(u.conj().T @ u - np.eye(4))) > 1e-10:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10:
         raise DomainError("input must be a 4x4 unitary")
     ub = _MAGIC.conj().T @ u @ _MAGIC
     m = ub.T @ ub

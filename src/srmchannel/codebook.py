@@ -87,5 +87,4 @@ def gram_matrix(codebook, kappa):
     while xor.any():
         distances += (xor & 1).astype(np.int64)
         xor >>= np.uint64(1)
-    gram = np.where(distances == 0, 1.0, kappa**distances.astype(float))
-    return gram
+    return kappa ** distances.astype(float)

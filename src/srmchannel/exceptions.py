@@ -1,20 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+One class per outcome: ``cli.main`` maps a ``DomainError`` to exit 2, a
+``SearchFailureError`` to exit 3 and a ``ResourceError`` to exit 4.  A
+``ConsistencyError`` is an internal cross-check failure and is not caught.
+"""
 
 
 class DomainError(ValueError):
-    """A parameter lies outside its mathematical domain."""
-
-
-class DegenerateInputError(DomainError):
-    """An input at a degenerate endpoint makes the requested quantity singular."""
-
-
-class ResonanceError(DomainError):
-    """Zero detuning: the dispersive (off-resonant) evolution is undefined."""
-
-
-class StructureError(ValueError):
-    """A codebook lacks the algebraic structure a fast path requires."""
+    """A parameter lies outside its mathematical domain, or makes the
+    requested quantity singular or undefined."""
 
 
 class ConsistencyError(ArithmeticError):

@@ -7,7 +7,9 @@ probabilities.  Alongside the dense eigendecomposition route there is a
 Walsh-Hadamard fast path for codebooks that form a group under XOR, where
 the Gram matrix is diagonalized by the characters of Z_2^n in O(2^n n), and
 a closed form for the even-weight code, whose spectrum depends only on the
-character weight, in O(n^2).
+character weight, in O(n^2) and exact at kappa = 0 and 1.  Inputs outside a
+route's domain (a singular Gram matrix, a codebook that is not a group)
+raise ``DomainError``.
 """
 
 from math import comb
@@ -16,12 +18,7 @@ import numpy as np
 
 from . import codebook as cb_mod
 from .binary_channel import _check_kappa
-from .exceptions import (
-    ConsistencyError,
-    DegenerateInputError,
-    DomainError,
-    StructureError,
-)
+from .exceptions import ConsistencyError, DomainError
 
 __all__ = [
     "principal_sqrt",
@@ -62,7 +59,7 @@ def conditional_probabilities(x):
     x = np.asarray(x, dtype=float)
     p = (x**2).T
     sums = p.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-8):
+    if not np.max(np.abs(sums - 1.0)) <= 1e-8:
         raise ConsistencyError(
             f"conditional probabilities do not normalize: row sums {sums}"
         )
@@ -110,7 +107,7 @@ def srm_vectors(codebook, kappa):
     gram = cb_mod.gram_matrix(codebook, kappa)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
-        raise DegenerateInputError(
+        raise DomainError(
             f"gram matrix is singular (min eigenvalue {eigvals[0]}); SRM undefined"
         )
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
@@ -155,7 +152,7 @@ def xor_fast_path(codebook, kappa):
     member[ints] = 1.0
     character_sums = fwht(member)
     if np.any((character_sums != 0.0) & (character_sums != m)):
-        raise StructureError("codebook is not a group under XOR")
+        raise DomainError("codebook is not a group under XOR")
     weights = np.zeros(1)  # weights[x] = Hamming weight of x, built bit by bit
     for _ in range(codebook.n):
         weights = np.concatenate((weights, weights + 1.0))
@@ -209,14 +206,17 @@ def even_weight_summary(n, kappa):
     Krawtchouk sum ``2^-n sum_k sqrt(lambda_k) K_k(w)`` (MacWilliams and
     Sloane, ch. 5).  Returns ``(information_bits, error_probability)`` like
     :func:`fast_srm_summary` on :func:`codebook.even_weight_codebook`, each
-    with the shape of ``kappa``.
+    with the shape of ``kappa``.  Both ends are exact: the sum gives n - 1
+    bits and P_e = 0 at ``kappa = 0``, and at ``kappa = 1``, where every
+    codeword is the same state, the result is set to 0 bits and
+    P_e = 1 - 2^(1-n) in place of the sum's rounding.
     """
     if n < 2:
         raise DomainError(f"block length must be >= 2, got {n}")
     cb_mod._check_block_length(n)
-    kappa = _check_kappa(kappa)[..., None]
+    kappa = _check_kappa(kappa)
     k = np.arange(n + 1)
-    a, b = 1.0 + kappa, 1.0 - kappa
+    a, b = 1.0 + kappa[..., None], 1.0 - kappa[..., None]
     roots = np.sqrt(0.5 * (a ** (n - k) * b**k + b ** (n - k) * a**k))
     w = np.arange(0, n + 1, 2)
     # K_0 = 1, K_1 = n - 2w, (j+1) K_{j+1} = (n-2w) K_j - (n-j+1) K_{j-1}:
@@ -229,4 +229,6 @@ def even_weight_summary(n, kappa):
         row += roots[..., j + 1, None] * cur
     q = (row / 2.0**n) ** 2
     multiplicity = np.array([comb(n, int(v)) for v in w], dtype=float)
-    return _symmetric_summary(q, multiplicity, 2 ** (n - 1))
+    info, pe = _symmetric_summary(q, multiplicity, 2 ** (n - 1))
+    same = kappa == 1.0
+    return np.where(same, 0.0, info)[()], np.where(same, 1.0 - 2.0 ** (1 - n), pe)[()]

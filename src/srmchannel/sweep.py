@@ -22,7 +22,6 @@ __all__ = [
     "superadditivity_margin",
     "threshold_kappa",
     "sweep_table",
-    "error_rate_comparison",
     "rows_to_csv",
     "CSV_HEADER",
 ]
@@ -32,7 +31,7 @@ CSV_HEADER = "n,kappa,c1,per_letter_info,margin,pe_block,p_single,holevo"
 _CSV_ROW = "%d," + ",".join(["%.9g"] * 7) + "\n"
 
 # Bisection never probes beyond this point: both margin terms vanish at
-# kappa = 1 and the sign there is handled analytically.
+# kappa = 1, so the margin there has no sign.
 _KAPPA_CEIL = 0.999
 _SCAN_STEP = 0.005
 
@@ -70,11 +69,7 @@ def _block_summary(n, kappa, codebook_choice="even"):
     _check_block(n, codebook_choice)
     kappa = binary_channel._check_kappa(kappa)
     if codebook_choice == "even":
-        info, pe = sqrm.even_weight_summary(n, kappa)
-        # Exact endpoints: noiseless distance-2 code / identical codewords.
-        info = np.where(kappa == 0.0, float(n - 1), np.where(kappa == 1.0, 0.0, info))
-        pe = np.where(kappa == 0.0, 0.0, np.where(kappa == 1.0, 1.0 - 2.0 ** (1 - n), pe))
-        return info[()], pe[()]
+        return sqrm.even_weight_summary(n, kappa)
     # A free letter times the pair {00, 11} of overlap kappa^2: the SRM of this product
     # ensemble is the product of two binary SRMs, each a binary symmetric channel
     # with crossover (1 - sqrt(1 - s^2)) / 2, written without cancellation at small s.
@@ -87,9 +82,7 @@ def _block_summary(n, kappa, codebook_choice="even"):
 def superadditivity_margin(n, kappa, codebook_choice="even"):
     """Per-letter SRM information minus C1, in bits; elementwise in ``kappa``."""
     info, _ = _block_summary(n, kappa, codebook_choice)
-    kappa = np.asarray(kappa, dtype=float)
-    margin = info / n - binary_channel.capacity_c1(kappa)
-    return np.where(kappa == 1.0, 0.0, margin)[()]
+    return info / n - binary_channel.capacity_c1(kappa)
 
 
 def threshold_kappa(n, tolerance=1e-4):
@@ -141,13 +134,6 @@ def sweep_table(n_list, kappa_grid, codebook_choice="even"):
         columns = (kappa, c1, per_letter, per_letter - c1, pe, p_single, holevo)
         rows += map(SweepRow._make, zip(repeat(n), *(c.tolist() for c in columns)))
     return rows
-
-
-def error_rate_comparison(n, kappa):
-    """Block-coded SRM error probability of the even-weight code vs the single-letter one."""
-    _, pe = _block_summary(n, kappa)
-    p_single = binary_channel.crossover_probability(kappa)
-    return {"pe_block": pe, "p_single": p_single, "degraded": pe > p_single}
 
 
 def _fmt(value):

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codebook as cb_mod, sqrm
-from .exceptions import (
-    ConsistencyError,
-    DegenerateInputError,
-    DomainError,
-    ResourceError,
-)
+from .exceptions import ConsistencyError, DomainError, ResourceError
 
 __all__ = [
     "TwoLevelFactor",
@@ -38,7 +33,6 @@ __all__ = [
     "srm_vectors",
     "gram_schmidt_completion",
     "build_decoding_unitary",
-    "error_probability_via_v",
     "two_level_decompose",
     "recompose",
     "factor_to_gates",
@@ -129,8 +123,6 @@ def gram_schmidt_completion(mu, codebook, kappa):
     """
     dim = 2**codebook.n
     mu = np.asarray(mu, dtype=float)
-    if mu.shape[1] == dim:
-        return mu
     used = set(codebook.words)
     remaining = [w for w in (format(v, f"0{codebook.n}b") for v in range(dim)) if w not in used]
     basis = [mu[:, k] for k in range(mu.shape[1])]
@@ -140,7 +132,7 @@ def gram_schmidt_completion(mu, codebook, kappa):
             vec = vec - (b @ vec) * b
         norm = np.linalg.norm(vec)
         if norm < 1e-8:
-            raise DegenerateInputError(
+            raise DomainError(
                 f"residual of word {w} is numerically dependent (norm {norm})"
             )
         basis.append(vec / norm)
@@ -151,19 +143,9 @@ def build_decoding_unitary(full_basis):
     """Orthogonal V carrying the i-th basis vector onto basis state |i>."""
     full_basis = np.asarray(full_basis, dtype=float)
     gram = full_basis.T @ full_basis
-    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-10:
+    if not np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-10:
         raise ConsistencyError("input columns are not orthonormal")
     return full_basis.T
-
-
-def error_probability_via_v(v, codebook, kappa):
-    """Eq-of-motion check: 1 - sum_m zeta_m <A_m|V|S_m>^2, zeta_m = 1/M."""
-    v = np.asarray(v, dtype=float)
-    total = 0.0
-    for m, w in enumerate(codebook.words):
-        amp = v[m] @ cb_mod.codeword_vector(w, kappa)
-        total += amp * amp
-    return float(1.0 - total / len(codebook))
 
 
 def two_level_decompose(v):
@@ -174,7 +156,7 @@ def two_level_decompose(v):
     """
     v = np.asarray(v, dtype=float)
     dim = v.shape[0]
-    if np.max(np.abs(v.T @ v - np.eye(dim))) > 1e-10:
+    if not np.max(np.abs(v.T @ v - np.eye(dim))) <= 1e-10:
         raise ConsistencyError("input is not orthogonal")
     w = v.copy()
     raw = []
@@ -187,7 +169,6 @@ def two_level_decompose(v):
                 w[i, i:], w[j, i:] = c * ri + s * rj, -s * ri + c * rj
             raw.append([i, j, gamma])
     d = np.sign(np.diag(w))
-    d[d == 0.0] = 1.0
     # Move D from the right of the product to the left: conjugating a plane
     # rotation by a sign matrix flips gamma when the two signs disagree.
     factors = []

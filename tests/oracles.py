@@ -9,7 +9,7 @@ from srmchannel import binary_channel as bc
 from srmchannel import codebook as cb
 from srmchannel import sqrm, sweep
 from srmchannel import synthesis as syn
-from srmchannel.exceptions import DegenerateInputError
+from srmchannel.exceptions import DomainError
 
 
 def product_decoding_information(n, kappa):
@@ -67,7 +67,7 @@ def optimal_measurement(kappa):
     the binary symmetric channel with the crossover probability."""
     kappa = float(kappa)
     if kappa == 1.0:
-        raise DegenerateInputError("identical letter states: no measurement distinguishes them")
+        raise DomainError("identical letter states: no measurement distinguishes them")
     plus, minus = bc.letter_states(kappa)
     c = np.sqrt(1.0 - kappa * kappa)
     a = np.sqrt((1.0 + c) / 2.0)

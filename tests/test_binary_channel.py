@@ -3,7 +3,7 @@ import pytest
 
 from oracles import holevo_limit_dense, optimal_measurement
 from srmchannel import binary_channel as bc
-from srmchannel.exceptions import DegenerateInputError, DomainError
+from srmchannel.exceptions import DomainError
 
 # Frozen reference values, evaluated in 40-digit arithmetic from the closed
 # forms p = (1 - sqrt(1 - k^2))/2, C1 = 1 - H(p), H((1 +/- k)/2).
@@ -86,7 +86,7 @@ def test_optimal_measurement_induces_bsc():
 
 
 def test_optimal_measurement_degenerate():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DomainError, match="identical letter states"):
         optimal_measurement(1.0)
 
 

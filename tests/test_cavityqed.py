@@ -6,7 +6,7 @@ from srmchannel import binary_channel as bc
 from srmchannel import cavityqed as cq
 from srmchannel import codebook as cb
 from srmchannel import synthesis as syn
-from srmchannel.exceptions import DomainError, ResonanceError, SearchFailureError
+from srmchannel.exceptions import DomainError, SearchFailureError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -84,7 +84,7 @@ def test_off_resonant_identity_and_semigroup():
 
 
 def test_off_resonant_rejects_resonance():
-    with pytest.raises(ResonanceError):
+    with pytest.raises(DomainError, match="zero detuning: use the on-resonant interaction"):
         cq.off_resonant(0.5, 1.0, 0.0, 7.0)
 
 
@@ -137,7 +137,7 @@ def test_pulse_params_round_trip():
 
 def test_pulse_params_resonance():
     params = cq.PulseParams(g=1.0, delta=0.0, nu=7.0, tau=1.0, tau_prime=1.0, t=1.0)
-    with pytest.raises(ResonanceError):
+    with pytest.raises(DomainError, match="zero detuning: dispersive coupling undefined"):
         params.g_eff
 
 

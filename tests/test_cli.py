@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import average_error_probability, read_network
-from srmchannel import cavityqed as cq, cli, codebook as cb, sqrm, sweep, synthesis as syn
+from srmchannel import cavityqed as cq, cli, codebook as cb, exceptions, sqrm, sweep, synthesis as syn
 
 
 def _run(capsys, *argv):
@@ -148,6 +148,22 @@ def test_gatecheck_verification_failure(capsys, monkeypatch):
     assert status == 3
     assert "search failure" in err
     assert "fidelity 0.5" in out
+
+
+@pytest.mark.parametrize("error", [
+    cls for cls in vars(exceptions).values()
+    if isinstance(cls, type) and cls.__module__ == exceptions.__name__
+    and cls is not exceptions.ConsistencyError
+])
+def test_library_errors_map_to_an_exit_code(capsys, monkeypatch, error):
+    # ConsistencyError, an internal cross-check failure, is the one left uncaught
+    def fail(*args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli.binary_channel, "_check_kappa", fail)
+    status, out, err = _run(capsys, "c1", "--kappa", "0.5")
+    assert status in (cli.EXIT_USAGE, cli.EXIT_VERIFY, cli.EXIT_RESOURCE)
+    assert (out, err) == ("", "error: refused\n")
 
 
 def test_unknown_flag_rejected(capsys):

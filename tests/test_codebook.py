@@ -7,7 +7,7 @@ import pytest
 from oracles import alternative_codebook, codeword_vector_kron
 from srmchannel import codebook as cb
 from srmchannel import sqrm
-from srmchannel.exceptions import DomainError, ResourceError, StructureError
+from srmchannel.exceptions import DomainError, ResourceError
 
 
 def _distance(a, b):
@@ -43,7 +43,7 @@ def test_even_weight_size_and_distance(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_even_weight_is_linear(n):
-    # the XOR fast path raises StructureError unless the words form a group
+    # the XOR fast path raises DomainError unless the words form a group
     sqrm.xor_fast_path(cb.even_weight_codebook(n), 0.5)
 
 
@@ -73,7 +73,7 @@ def test_alternative_codebook_closure():
 
 def test_non_linear_sets_detected():
     # three words cannot form a group; test_sqrm covers sets of four
-    with pytest.raises(StructureError):
+    with pytest.raises(DomainError, match="codebook is not a group under XOR"):
         sqrm.xor_fast_path(cb.Codebook(n=3, words=("000", "100", "011")), 0.5)
 
 

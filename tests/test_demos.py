@@ -1,4 +1,5 @@
-"""Smoke test: every narrative script in ``demos/`` runs to completion."""
+"""Smoke test: every narrative script in ``demos/`` runs to completion, with a
+numpy ``RuntimeWarning`` turned into an error as in the in-process suite."""
 
 import os
 import subprocess
@@ -13,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120

@@ -7,7 +7,7 @@ import pytest
 
 from srmchannel import binary_channel as bc
 from srmchannel import codebook as cb
-from srmchannel import sqrm, sweep
+from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, ResourceError
 
 from oracles import average_error_probability
@@ -73,6 +73,14 @@ def test_even_weight_summary_domain():
         sqrm.even_weight_summary(cb.MAX_BLOCK_LENGTH + 1, 0.5)
 
 
+@pytest.mark.parametrize("n", range(2, cb.MAX_BLOCK_LENGTH + 1))
+def test_even_weight_summary_exact_at_both_ends(n):
+    # noiseless distance-2 code at kappa = 0, identical codewords at kappa = 1
+    info, pe = sqrm.even_weight_summary(n, [0.0, 1.0])
+    assert (info[0], pe[0]) == (n - 1, 0.0)
+    assert (info[1], pe[1]) == (0.0, 1.0 - 2.0 ** (1 - n))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=2, max_value=8), kappa=st.floats(min_value=0.0, max_value=0.999))
 def test_three_routes_agree(n, kappa):
@@ -100,6 +108,5 @@ def test_srm_channel_rows_sum_to_one(n, kappa):
 def test_endpoint_branch_is_the_limit_of_the_closed_form(n, eps):
     # Near kappa = 1 the closed form approaches the endpoint like sqrt(1 - kappa).
     for endpoint, inside, atol in ((0.0, eps, eps), (1.0, 1.0 - eps, 2.0 * np.sqrt(eps))):
-        exact = sweep._block_summary(n, endpoint)
-        assert np.allclose(sqrm.even_weight_summary(n, endpoint), exact, rtol=0.0, atol=1e-12)
+        exact = sqrm.even_weight_summary(n, endpoint)
         assert np.allclose(sqrm.even_weight_summary(n, inside), exact, rtol=0.0, atol=atol)

@@ -4,7 +4,7 @@ import pytest
 from srmchannel import binary_channel as bc
 from srmchannel import codebook as cb
 from srmchannel import sqrm
-from srmchannel.exceptions import DomainError, StructureError
+from srmchannel.exceptions import DomainError
 
 from oracles import (
     alternative_codebook,
@@ -216,10 +216,10 @@ def test_fast_path_large_block_dense_spot_check():
 
 def test_xor_fast_path_rejects_non_group():
     no_zero = cb.Codebook(n=3, words=("001", "010", "100", "111"))
-    with pytest.raises(StructureError):
+    with pytest.raises(DomainError, match="codebook is not a group under XOR"):
         sqrm.xor_fast_path(no_zero, 0.8)
     not_closed = cb.Codebook(n=3, words=("000", "001", "010", "111"))
-    with pytest.raises(StructureError):
+    with pytest.raises(DomainError, match="codebook is not a group under XOR"):
         sqrm.xor_fast_path(not_closed, 0.8)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import alternative_codebook, average_error_probability
-from srmchannel import cli, codebook as cb, sqrm, sweep
+from srmchannel import binary_channel as bc, cli, codebook as cb, sqrm, sweep
 from srmchannel.exceptions import DomainError, ResourceError
 
 # 40-digit reference values (see test_sqrm for the channel-matrix entries).
@@ -28,10 +28,15 @@ def test_margin_reference_values():
     assert sweep.superadditivity_margin(3, 0.9) == pytest.approx(MARGIN_3_09, abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", range(2, cb.MAX_BLOCK_LENGTH + 1))
 def test_margin_endpoints(n):
     assert sweep.superadditivity_margin(n, 1.0) == 0.0
     assert sweep.superadditivity_margin(n, 0.0) == pytest.approx((n - 1) / n - 1.0)
+
+
+def test_margin_is_exactly_zero_at_identical_letters():
+    assert bc.capacity_c1(1.0) == 0.0
+    assert sweep.superadditivity_margin(3, 1.0, codebook_choice="alt") == 0.0
 
 
 def test_margin_domain():
@@ -47,7 +52,7 @@ def test_block_length_checked_at_the_endpoints_too():
     with pytest.raises(ResourceError):
         sweep.sweep_table([21], [0.0])
     with pytest.raises(DomainError):
-        sweep.error_rate_comparison(1, 0.0)
+        sweep.sweep_table([1], [0.0])
     with pytest.raises(DomainError):
         sweep.superadditivity_margin(5, 0.5, codebook_choice="alt")
     with pytest.raises(DomainError):
@@ -162,16 +167,15 @@ def test_alternative_summary_matches_dense_route():
 
 
 def test_error_rate_comparison():
-    cmp8 = sweep.error_rate_comparison(3, 0.8)
-    assert cmp8["pe_block"] == pytest.approx(PE_3_08, abs=1e-9)
-    assert cmp8["p_single"] == pytest.approx(0.2)
-    assert cmp8["degraded"]
-    cmp0 = sweep.error_rate_comparison(3, 0.0)
-    assert cmp0["pe_block"] == 0.0 and not cmp0["degraded"]
-    cmp1 = sweep.error_rate_comparison(3, 1.0)
-    assert cmp1["pe_block"] == pytest.approx(0.75)
-    assert cmp1["p_single"] == pytest.approx(0.5)
-    assert cmp1["degraded"]
+    # block and single-letter error rates are two columns of one table row
+    row0, row8, row1 = sweep.sweep_table([3], [0.0, 0.8, 1.0])
+    assert row8.pe_block == pytest.approx(PE_3_08, abs=1e-9)
+    assert row8.p_single == pytest.approx(0.2)
+    assert row8.pe_block > row8.p_single
+    assert row0.pe_block == 0.0 and not row0.pe_block > row0.p_single
+    assert row1.pe_block == pytest.approx(0.75)
+    assert row1.p_single == pytest.approx(0.5)
+    assert row1.pe_block > row1.p_single
 
 
 def test_csv_format():

@@ -9,12 +9,7 @@ from oracles import (
 )
 from srmchannel import codebook as cb
 from srmchannel import sqrm, synthesis as syn
-from srmchannel.exceptions import (
-    ConsistencyError,
-    DegenerateInputError,
-    DomainError,
-    ResourceError,
-)
+from srmchannel.exceptions import ConsistencyError, DomainError, ResourceError
 
 X_DIAG_08 = 0.8772001872658766
 PE_08 = 0.2305198314607111
@@ -55,7 +50,7 @@ def test_srm_vectors_near_orthogonal_limit(block3):
 
 
 def test_srm_vectors_singular(block3):
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DomainError, match="gram matrix is singular"):
         syn.srm_vectors(block3, 1.0)
 
 
@@ -109,7 +104,9 @@ def test_build_decoding_unitary_rejects_non_orthonormal():
 def test_error_probability_via_v(block3):
     mu = syn.srm_vectors(block3, 0.8)
     v = syn.build_decoding_unitary(syn.gram_schmidt_completion(mu, block3, 0.8))
-    pe = syn.error_probability_via_v(v, block3, 0.8)
+    # codeword m is decoded correctly with probability <m|V|S_m>^2
+    amps = np.array([v[m] @ cb.codeword_vector(w, 0.8) for m, w in enumerate(block3.words)])
+    pe = 1.0 - np.mean(amps**2)
     assert pe == pytest.approx(PE_08, abs=1e-10)
     x = sqrm.principal_sqrt(cb.gram_matrix(block3, 0.8))
     assert pe == pytest.approx(
@@ -122,7 +119,8 @@ def test_error_probability_via_v_alternative():
     mu = syn.srm_vectors(book, 0.8)
     v = syn.build_decoding_unitary(syn.gram_schmidt_completion(mu, book, 0.8))
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
-    assert syn.error_probability_via_v(v, book, 0.8) == pytest.approx(
+    amps = np.array([v[m] @ cb.codeword_vector(w, 0.8) for m, w in enumerate(book.words)])
+    assert 1.0 - np.mean(amps**2) == pytest.approx(
         average_error_probability(x), abs=1e-10
     )
 
