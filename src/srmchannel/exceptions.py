@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-One class per outcome: ``cli.main`` maps a ``DomainError`` to exit 2, a
-``SearchFailureError`` to exit 3 and a ``ResourceError`` to exit 4.  A
-``ConsistencyError`` is an internal cross-check failure and is not caught.
+One class per outcome: ``cli.main`` maps a ``DomainError`` to exit 2 and a
+``ResourceError`` to exit 4.  A ``ConsistencyError`` is an internal
+cross-check failure and is not caught.  Exit 3, a failed verification, is
+no exception: the subcommand that checks its results returns it.
 """
 
 
@@ -17,14 +18,3 @@ class ConsistencyError(ArithmeticError):
 
 class ResourceError(RuntimeError):
     """The requested problem size exceeds a configured limit."""
-
-
-class SearchFailureError(RuntimeError):
-    """A parameter search terminated without reaching its target.
-
-    The best candidate found is attached as ``best``.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best

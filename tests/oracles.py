@@ -6,6 +6,7 @@ No command, demo or benchmark needs them, so they live with the tests.
 import numpy as np
 
 from srmchannel import binary_channel as bc
+from srmchannel import cavityqed as cq
 from srmchannel import codebook as cb
 from srmchannel import sqrm, sweep
 from srmchannel import synthesis as syn
@@ -187,3 +188,63 @@ def factor_to_gates_conjugated(factor, n):
     angle = 2.0 * factor.gamma if bit(current, target) == 0 else -2.0 * factor.gamma
     core = conjugated(lambda c, t: syn.ControlledRotation(c, t, angle), current, target)
     return mapping + core + mapping[::-1]
+
+
+def _embed(op, systems, dims):
+    """Embed an operator acting on a subset of tensor factors."""
+    n = len(dims)
+    perm = list(systems) + [s for s in range(n) if s not in systems]
+    rest = int(np.prod([dims[s] for s in perm[len(systems):]], initial=1))
+    big = np.kron(op, np.eye(rest))
+    # big acts on factors ordered (systems..., rest...); permute back
+    big = big.reshape([dims[s] for s in perm] * 2)
+    inv = np.argsort(perm)
+    big = big.transpose(list(inv) + [n + k for k in inv])
+    total = int(np.prod(dims))
+    return big.reshape(total, total)
+
+
+def _rotation(sigma, angle):
+    """exp(-i angle sigma / 2)."""
+    return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * sigma
+
+
+def _ramsey(tau, eps_abs, nu):
+    """Ramsey-zone pulse of duration tau with pump area ``eps_abs * tau``."""
+    ph = np.exp(-1j * nu * tau / 2.0)
+    c, s = np.cos(eps_abs * tau), np.sin(eps_abs * tau)
+    return np.array([[ph * c, ph * s], [-np.conj(ph) * s, np.conj(ph) * c]])
+
+
+def sw_gate_sequence_embedded(params):
+    """The pulse sequence of ``cavityqed.sw_gate_sequence`` with each pulse
+    embedded in the (atom a, atom b, cavity) register by a general tensor
+    permutation, the rotations built from their axes and angles and the
+    Ramsey pulses from the amplitudes ``PulseParams`` prints.  Returns
+    ``(block, leakage)`` like the library."""
+    dims = (2, 2, 2)
+    rxa = _embed(_rotation(np.array([[0, 1], [1, 0]]), np.pi), (0,), dims)
+    rza = _embed(_rotation(np.diag([1, -1]), -1.25 * np.pi), (0,), dims)
+    u_on = _embed(cq.on_resonant(), (0, 2), dims)
+    u_r = _embed(_ramsey(params.tau, params.eps_abs, params.nu), (1,), dims)
+    u_rp = _embed(_ramsey(params.tau_prime, params.eps_prime_abs, params.nu), (1,), dims)
+    u_off = _embed(cq.off_resonant(params.t, params.g * params.g / params.delta, params.nu),
+                   (1, 2), dims)
+    seq = rza @ rxa @ u_on @ u_rp @ u_off @ u_r @ u_on @ rxa
+    vac, occ = [0, 2, 4, 6], [1, 3, 5, 7]
+    leakage = float(np.max(np.linalg.norm(seq[np.ix_(occ, vac)], axis=0)))
+    return seq[np.ix_(vac, vac)], leakage
+
+
+def local_class_fidelity_two_frames(block):
+    """Local-class fidelity by scanning the target frames {I, Z} on the
+    relative operation b_up^dag b_dn of a block-diagonal ``block``.
+    ``cavityqed.local_class_fidelity`` takes the closed form of this scan."""
+    block = np.asarray(block, dtype=complex)
+    rel = block[:2, :2].conj().T @ block[2:, 2:]
+    sqrt_x = cq.controlled_sqrt_not()[2:, 2:]
+    best = 0.0
+    for frame in (np.eye(2), np.diag([1.0, -1.0])):
+        dressed = frame @ rel @ frame
+        best = max(best, (2.0 + abs(np.trace(sqrt_x.conj().T @ dressed))) / 4.0)
+    return float(best)

@@ -139,11 +139,11 @@ def test_criterion_10_gate_physics():
     rng = np.random.default_rng(11)
     unitary = True
     for _ in range(5):
-        tau, eps, nu, t, g = rng.uniform(0.1, 5.0, size=5)
+        tau, nu, t, g = rng.uniform(0.1, 5.0, size=4)
         delta = rng.uniform(0.5, 5.0)
         for u in (
-            cq.ramsey_zone(tau, eps, nu),
-            cq.off_resonant(t, g, delta, nu),
+            cq.ramsey_zone(tau, nu),
+            cq.off_resonant(t, g * g / delta, nu),
             cq.on_resonant(),
             encoder_rotation(rng.uniform(0, np.pi)),
         ):
@@ -152,7 +152,7 @@ def test_criterion_10_gate_physics():
     csx = cq.controlled_sqrt_not()
     cnot = np.eye(4, dtype=complex)
     cnot[[2, 3]] = cnot[[3, 2]]
-    squared = cq.equivalence_up_to_phase(csx @ csx, cnot)["fidelity"] >= 1.0 - 1e-10
+    squared = abs(np.trace(cnot.conj().T @ csx @ csx)) / 4.0 >= 1.0 - 1e-10
     solved = cq.solve_sequence_params(1.0, 5.0, 7.0)
     ok = (
         unitary

@@ -1,14 +1,26 @@
 import numpy as np
 import pytest
 
-from oracles import encoder_rotation, optimal_measurement
+from oracles import (
+    encoder_rotation,
+    local_class_fidelity_two_frames,
+    optimal_measurement,
+    sw_gate_sequence_embedded,
+)
 from srmchannel import binary_channel as bc
 from srmchannel import cavityqed as cq
 from srmchannel import codebook as cb
 from srmchannel import synthesis as syn
-from srmchannel.exceptions import DomainError, SearchFailureError
+from srmchannel.exceptions import DomainError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SOLVE_CASES = [(1, 5, 7), (2, 8, 5), (1, -5, 7), (0.5, 3, 2), (1, 20, 7), (3, 4, 1)]
+
+
+def _haar2(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _unitary_defect(u):
@@ -48,26 +60,29 @@ def test_encoder_reproduces_crossover():
 
 
 def test_ramsey_zone_free_evolution():
-    u = cq.ramsey_zone(0.7, 0.0, 3.0)
-    assert np.allclose(u, np.diag([np.exp(-1.05j), np.exp(1.05j)]), atol=1e-14)
+    # the free phases of duration tau times the balanced beam splitter
+    u = cq.ramsey_zone(0.7, 3.0)
+    r = np.sqrt(0.5)
+    free = np.diag([np.exp(-1.05j), np.exp(1.05j)])
+    assert np.allclose(u, free @ [[r, r], [-r, r]], atol=1e-15)
 
 
 def test_ramsey_zone_quarter_area():
     # |eps| tau = pi/4 with negligible free phase: balanced beam splitter
-    u = cq.ramsey_zone(1e-12, np.pi / 4e-12, 3.0)
+    u = cq.ramsey_zone(1e-12, 3.0)
     r = np.sqrt(0.5)
     assert np.allclose(u, [[r, r], [-r, r]], atol=1e-9)
 
 
 def test_ramsey_zone_domain():
     with pytest.raises(DomainError):
-        cq.ramsey_zone(-1.0, 0.5, 3.0)
+        cq.ramsey_zone(-1.0, 3.0)
 
 
 def test_off_resonant_phases():
     t, g, delta, nu = 0.37, 1.1, 4.0, 6.0
     g_eff = g * g / delta
-    u = cq.off_resonant(t, g, delta, nu)
+    u = cq.off_resonant(t, g_eff, nu)
     assert np.count_nonzero(u - np.diag(np.diag(u))) == 0
     assert u[0, 0] == pytest.approx(np.exp(-1j * (nu / 2.0 + g_eff) * t), abs=1e-14)
     assert u[2, 2] == pytest.approx(np.exp(1j * nu * t / 2.0), abs=1e-14)
@@ -76,16 +91,19 @@ def test_off_resonant_phases():
 
 
 def test_off_resonant_identity_and_semigroup():
-    assert np.allclose(cq.off_resonant(0.0, 1.0, 5.0, 7.0), np.eye(4), atol=1e-15)
-    u1 = cq.off_resonant(0.3, 1.0, 5.0, 7.0)
-    u2 = cq.off_resonant(0.9, 1.0, 5.0, 7.0)
-    u12 = cq.off_resonant(1.2, 1.0, 5.0, 7.0)
+    assert np.allclose(cq.off_resonant(0.0, 0.2, 7.0), np.eye(4), atol=1e-15)
+    u1 = cq.off_resonant(0.3, 0.2, 7.0)
+    u2 = cq.off_resonant(0.9, 0.2, 7.0)
+    u12 = cq.off_resonant(1.2, 0.2, 7.0)
     assert np.max(np.abs(u1 @ u2 - u12)) < 1e-12
 
 
 def test_off_resonant_rejects_resonance():
-    with pytest.raises(DomainError, match="zero detuning: use the on-resonant interaction"):
-        cq.off_resonant(0.5, 1.0, 0.0, 7.0)
+    # the dispersive pulse takes its rate from PulseParams.g_eff, which
+    # refuses zero detuning
+    params = cq.PulseParams(g=1.0, delta=0.0, nu=7.0, tau=1.0, tau_prime=1.0, t=0.5)
+    with pytest.raises(DomainError, match="zero detuning"):
+        cq.sw_gate_sequence(params)
 
 
 def test_on_resonant_mappings():
@@ -102,26 +120,24 @@ def test_on_resonant_mappings():
     assert np.allclose(u @ (u @ up0), -up0)
 
 
-def test_single_bit_rotation_conventions():
-    assert np.allclose(cq.single_bit_rotation("x", 0.0), np.eye(2))
-    assert np.allclose(cq.single_bit_rotation("z", 2.0 * np.pi), -np.eye(2), atol=1e-15)
-    up = np.array([1.0, 0.0], dtype=complex)
-    assert np.allclose(cq.single_bit_rotation("x", np.pi) @ up, [0.0, -1j], atol=1e-15)
-    with pytest.raises(DomainError):
-        cq.single_bit_rotation("w", 1.0)
+def test_control_atom_rotations_are_exact():
+    # exp(-i angle sigma / 2) for R_x(pi) and R_z(-5 pi/4)
+    assert np.array_equal(cq._RX_PI, -1j * SIGMA_X)
+    angle = -1.25 * np.pi
+    rz = np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * np.diag([1.0, -1.0])
+    assert np.max(np.abs(cq._RZ - rz)) < 1e-15
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_primitives_unitary_randomized(seed):
     rng = np.random.default_rng(seed)
-    tau, eps, nu = rng.uniform(0.1, 5.0, size=3)
+    tau, nu = rng.uniform(0.1, 5.0, size=2)
     t, g = rng.uniform(0.1, 5.0, size=2)
     delta = rng.uniform(0.5, 5.0)
     assert _unitary_defect(encoder_rotation(rng.uniform(0, np.pi))) < 1e-12
-    assert _unitary_defect(cq.ramsey_zone(tau, eps, nu)) < 1e-12
-    assert _unitary_defect(cq.off_resonant(t, g, delta, nu)) < 1e-12
+    assert _unitary_defect(cq.ramsey_zone(tau, nu)) < 1e-12
+    assert _unitary_defect(cq.off_resonant(t, g * g / delta, nu)) < 1e-12
     assert _unitary_defect(cq.on_resonant()) < 1e-12
-    assert _unitary_defect(cq.single_bit_rotation("y", rng.uniform(-np.pi, np.pi))) < 1e-12
 
 
 def test_pulse_params_round_trip():
@@ -174,14 +190,8 @@ def test_local_invariants_reject_non_unitary():
 @pytest.mark.parametrize("seed", range(4))
 def test_local_invariants_dressing_invariance(seed):
     rng = np.random.default_rng(seed)
-
-    def haar2():
-        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(z)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
     u = cq.controlled_sqrt_not()
-    dressed = np.kron(haar2(), haar2()) @ u @ np.kron(haar2(), haar2())
+    dressed = np.kron(_haar2(rng), _haar2(rng)) @ u @ np.kron(_haar2(rng), _haar2(rng))
     assert cq.invariant_distance(u, dressed) < 1e-10
 
 
@@ -189,19 +199,7 @@ def test_csx_squared_is_cnot():
     csx = cq.controlled_sqrt_not()
     cnot = np.eye(4, dtype=complex)
     cnot[[2, 3]] = cnot[[3, 2]]
-    result = cq.equivalence_up_to_phase(csx @ csx, cnot)
-    assert result["equal"]
-    assert result["fidelity"] >= 1.0 - 1e-10
-
-
-def test_equivalence_up_to_phase_basics():
-    u = cq.controlled_sqrt_not()
-    assert cq.equivalence_up_to_phase(u, np.exp(0.3j) * u)["equal"]
-    far = cq.equivalence_up_to_phase(np.eye(4), np.kron(SIGMA_X, np.eye(2)))
-    assert not far["equal"]
-    assert far["fidelity"] == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        cq.equivalence_up_to_phase(np.eye(4), np.eye(2))
+    assert abs(np.trace(cnot.conj().T @ csx @ csx)) / 4.0 >= 1.0 - 1e-10
 
 
 def test_solved_sequence_realizes_target_class(solved):
@@ -227,23 +225,49 @@ def test_solve_rejects_bad_parameters():
 
 
 def test_solve_failure_carries_best(monkeypatch):
+    # the solve does not judge its result: a low fidelity is returned as is
     monkeypatch.setattr(cq, "local_class_fidelity", lambda block: 0.5)
-    with pytest.raises(SearchFailureError) as excinfo:
-        cq.solve_sequence_params(1.0, 5.0, 7.0)
-    best = excinfo.value.best
-    assert best is not None
-    assert 0.0 <= best["fidelity"] <= 1.0
-    assert best["params"].g_eff * best["params"].t == pytest.approx(np.pi / 4.0)
+    result = cq.solve_sequence_params(1.0, 5.0, 7.0)
+    assert result["fidelity"] == 0.5
+    assert result["invariant_distance"] < 1e-6
+    assert result["params"].g_eff * result["params"].t == pytest.approx(np.pi / 4.0)
 
 
-@pytest.mark.parametrize(
-    "g, delta, nu", [(1, 5, 7), (2, 8, 5), (1, -5, 7), (0.5, 3, 2), (1, 20, 7), (3, 4, 1)]
-)
+@pytest.mark.parametrize("g, delta, nu", SOLVE_CASES)
 def test_solve_uses_analytic_duration(g, delta, nu):
     result = cq.solve_sequence_params(g, delta, nu)
     params = result["params"]
     assert abs(params.g_eff) * params.t == pytest.approx(np.pi / 4.0, rel=1e-15)
     assert result["fidelity"] >= 0.999
+
+
+def _detuned(scale, g=1.0, delta=5.0, nu=7.0):
+    # the demo's detuned sequences: g_eff t = scale pi with the solve's tau, tau'
+    g_eff = g * g / delta
+    t = scale * np.pi / g_eff
+    tau_prime = 2.0 * np.pi / nu
+    tau = tau_prime + t + g_eff * t / nu
+    return cq.PulseParams(g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime, t=t)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [cq.solve_sequence_params(*case)["params"] for case in SOLVE_CASES]
+    + [_detuned(scale) for scale in (0.25, 0.20, 0.15, 0.10)],
+)
+def test_sw_sequence_matches_embedded_composition(params):
+    block, leakage = cq.sw_gate_sequence(params)
+    ref_block, ref_leakage = sw_gate_sequence_embedded(params)
+    assert np.max(np.abs(block - ref_block)) < 1e-14
+    assert leakage == ref_leakage
+
+
+def test_local_class_fidelity_matches_two_frame_scan():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        block = np.zeros((4, 4), dtype=complex)
+        block[:2, :2], block[2:, 2:] = _haar2(rng), _haar2(rng)
+        assert abs(cq.local_class_fidelity(block) - local_class_fidelity_two_frames(block)) < 1e-15
 
 
 def _controlled_from_gate(gate):

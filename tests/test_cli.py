@@ -142,12 +142,40 @@ def test_sweep_refuses_every_block_length_before_work(capsys, monkeypatch):
     assert "limit" in err
 
 
+GATECHECK_KEYS = ["g", "delta", "nu", "tau", "tau_prime", "eps_abs", "eps_prime_abs", "t",
+                  "fidelity", "invariant_distance", "leakage"]
+
+
+def _gatecheck_fails_verification(capsys, *argv):
+    # exit 3 prints every result line and one diagnostic line
+    status, out, err = _run(capsys, "gatecheck", *argv)
+    assert status == 3
+    assert [line.replace("=", " ").split()[0] for line in out.splitlines()] == GATECHECK_KEYS
+    assert len(err.splitlines()) == 1
+    assert err.startswith("verification failed: ")
+    return out, err
+
+
 def test_gatecheck_verification_failure(capsys, monkeypatch):
     monkeypatch.setattr(cq, "local_class_fidelity", lambda block: 0.5)
-    status, out, err = _run(capsys, "gatecheck")
-    assert status == 3
-    assert "search failure" in err
-    assert "fidelity 0.5" in out
+    out, err = _gatecheck_fails_verification(capsys)
+    assert "\nfidelity 0.5\n" in out
+    assert "fidelity" in err
+
+
+def test_gatecheck_invariant_distance_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cq, "invariant_distance", lambda u, w: 1e-3)
+    out, err = _gatecheck_fails_verification(capsys)
+    assert "\ninvariant_distance 1.000e-03\n" in out
+    assert "invariant distance" in err
+
+
+@pytest.mark.parametrize("g", ["1e-5", "1e-8"])
+def test_gatecheck_weak_coupling_fails_verification(capsys, g):
+    # the solved t = pi delta / (4 g^2) is too large for double precision to
+    # hold the phase relation
+    _, err = _gatecheck_fails_verification(capsys, "--g", g)
+    assert "invariant distance" in err
 
 
 @pytest.mark.parametrize("error", [
@@ -162,7 +190,7 @@ def test_library_errors_map_to_an_exit_code(capsys, monkeypatch, error):
 
     monkeypatch.setattr(cli.binary_channel, "_check_kappa", fail)
     status, out, err = _run(capsys, "c1", "--kappa", "0.5")
-    assert status in (cli.EXIT_USAGE, cli.EXIT_VERIFY, cli.EXIT_RESOURCE)
+    assert status in (cli.EXIT_USAGE, cli.EXIT_RESOURCE)
     assert (out, err) == ("", "error: refused\n")
 
 
