@@ -81,9 +81,7 @@ class PulseParams:
 
     @property
     def g_eff(self):
-        if self.delta == 0.0:
-            raise DomainError("zero detuning: dispersive coupling undefined")
-        return self.g**2 / self.delta
+        return _dispersive_rate(self.g, self.delta)
 
     def to_text(self):
         fields = (
@@ -93,6 +91,18 @@ class PulseParams:
             ("t", self.t),
         )
         return "\n".join(f"{k}={v:.17g}" for k, v in fields) + "\n"
+
+
+def _dispersive_rate(g, delta):
+    """g_eff = g^2/delta, refused where it is undefined, zero or infinite."""
+    if delta == 0.0:
+        raise DomainError("zero detuning: dispersive coupling undefined")
+    g_eff = g * g / delta
+    if g_eff == 0.0:
+        raise DomainError(f"g_eff = g^2/delta underflows to zero for g = {g}, delta = {delta}")
+    if not np.isfinite(g_eff):
+        raise DomainError(f"g_eff = g^2/delta overflows to {g_eff} for g = {g}, delta = {delta}")
+    return g_eff
 
 
 def ramsey_zone(tau, nu):
@@ -211,11 +221,7 @@ def solve_sequence_params(g, delta, nu):
         raise DomainError("g, delta and nu must be finite")
     if g <= 0 or delta == 0 or nu <= 0:
         raise DomainError("g and nu must be positive and the detuning delta nonzero")
-    g_eff = g * g / delta
-    if g_eff == 0.0:
-        raise DomainError(f"g_eff = g^2/delta underflows to zero for g = {g}, delta = {delta}")
-    if not np.isfinite(g_eff):
-        raise DomainError(f"g_eff = g^2/delta overflows to {g_eff} for g = {g}, delta = {delta}")
+    g_eff = _dispersive_rate(g, delta)
     t = np.pi / (4.0 * abs(g_eff))
     tau_prime = 2.0 * np.pi / nu
     # phase relation: nu (tau - tau')/2 = nu t / 2 + g_eff t / 2 (mod 2 pi);

@@ -1,15 +1,15 @@
 """Square-root-measurement decoding of codeword ensembles.
 
-The measurement vectors are the codewords whitened by the inverse square
-root of their Gram matrix; the overlap (channel) matrix is the principal
-square root itself, and its squared entries are the decoding conditional
-probabilities.  Alongside the dense eigendecomposition route there is a
-Walsh-Hadamard fast path for codebooks that form a group under XOR, where
-the Gram matrix is diagonalized by the characters of Z_2^n in O(2^n n), and
-a closed form for the even-weight code, whose spectrum depends only on the
-character weight, in O(n^2) and exact at kappa = 0 and 1.  Inputs outside a
-route's domain (a singular Gram matrix, a codebook that is not a group)
-raise ``DomainError``.
+The measurement vectors (``synthesis.srm_vectors``) are the codewords
+whitened by the inverse square root of their Gram matrix; the overlap
+(channel) matrix is the principal square root itself, and its squared
+entries are the decoding conditional probabilities.  Alongside the dense
+eigendecomposition route there is a Walsh-Hadamard fast path for codebooks
+that form a group under XOR, where the Gram matrix is diagonalized by the
+characters of Z_2^n in O(2^n n), and a closed form for the even-weight code,
+whose spectrum depends only on the character weight, in O(n^2) and exact at
+kappa = 0 and 1.  Inputs outside a route's domain (a singular Gram matrix, a
+codebook that is not a group) raise ``DomainError``.
 """
 
 from math import comb
@@ -28,7 +28,6 @@ __all__ = [
     "xor_fast_path",
     "fast_srm_summary",
     "even_weight_summary",
-    "srm_vectors",
     "fwht",
 ]
 
@@ -100,19 +99,6 @@ def i3_closed_form(kappa):
     if b > 0.0:
         info += 3.0 * b * np.log2(b)
     return float(info)
-
-
-def srm_vectors(codebook, kappa):
-    """Columns are the SRM vectors mu_j = sum_i (Gamma^{-1/2})_ij S_i."""
-    gram = cb_mod.gram_matrix(codebook, kappa)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
-        raise DomainError(
-            f"gram matrix is singular (min eigenvalue {eigvals[0]}); SRM undefined"
-        )
-    inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    vecs = np.column_stack([cb_mod.codeword_vector(w, kappa) for w in codebook.words])
-    return vecs @ inv_sqrt
 
 
 def fwht(values):

@@ -1,18 +1,18 @@
 """Constructive realization of the SRM as a unitary plus level detection.
 
-The measurement vectors, completed to a full orthonormal basis of the
-block Hilbert space, define a real orthogonal operator V that rotates each
+The measurement vectors, completed to a full orthonormal basis of the block
+Hilbert space, define a real orthogonal operator V that rotates each
 measurement direction onto a computational-basis state; decoding is then a
 plain level detection of the individual letters.  V is factored into
 two-level (Givens) rotations, each of which compiles to fully controlled
 flips (Gray-code mapping), one y-rotation and the mapping undone, with plain
-flips that change an X frame only where 0-controls change.  Every gate is a
-2x2 core on a target wire under a set of control wires, and a simulator
-that relabels rows for every flip and mixes row pairs with the other cores
-verifies every network.  ``expand_network`` rewrites each doubly
-controlled gate into five one-control gates with exact square-root cores; a
-Toffoli becomes three controlled square roots of NOT (the two-bit gate of
-``cavityqed``) and two controlled NOTs.
+flips that change one X frame, carried across the whole network, only where
+0-controls change.  Every gate is a 2x2 core on a target wire under a set of
+control wires, and a simulator that relabels rows for every flip and mixes
+row pairs with the other cores verifies every network.  ``expand_network``
+rewrites each doubly controlled gate into five one-control gates with exact
+square-root cores; a Toffoli becomes three controlled square roots of NOT
+(the two-bit gate of ``cavityqed``) and two controlled NOTs.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codebook as cb_mod, sqrm
+from . import codebook as cb_mod
 from .exceptions import ConsistencyError, DomainError, ResourceError
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ControlledUnitary",
     "srm_vectors",
     "gram_schmidt_completion",
-    "build_decoding_unitary",
     "two_level_decompose",
     "recompose",
     "factor_to_gates",
@@ -110,8 +109,16 @@ _OTHERS = tuple(tuple(tuple(c for c in range(n) if c != w) for w in range(n))
 
 
 def srm_vectors(codebook, kappa):
-    """First synthesis stage: the SRM vectors of :func:`sqrm.srm_vectors`."""
-    return sqrm.srm_vectors(codebook, kappa)
+    """Columns are the SRM vectors mu_j = sum_i (Gamma^{-1/2})_ij S_i."""
+    gram = cb_mod.gram_matrix(codebook, kappa)
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
+        raise DomainError(
+            f"gram matrix is singular (min eigenvalue {eigvals[0]}); SRM undefined"
+        )
+    inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    vecs = np.column_stack([cb_mod.codeword_vector(w, kappa) for w in codebook.words])
+    return vecs @ inv_sqrt
 
 
 def gram_schmidt_completion(mu, codebook, kappa):
@@ -119,7 +126,11 @@ def gram_schmidt_completion(mu, codebook, kappa):
 
     The remaining 2**n - M sequences are processed in lexicographic word
     order; each contributes the normalized residual against everything
-    accumulated so far.  Returns a matrix whose columns are the basis.
+    accumulated so far.  Returns a matrix B whose columns are the basis;
+    its transpose is the decoding unitary V, which carries the i-th basis
+    vector onto basis state |i>.  Classical Gram-Schmidt loses orthogonality
+    as the codeword states approach each other, so a B with B^T B off the
+    identity by more than 1e-10 raises ``ConsistencyError``.
     """
     dim = 2**codebook.n
     mu = np.asarray(mu, dtype=float)
@@ -136,16 +147,10 @@ def gram_schmidt_completion(mu, codebook, kappa):
                 f"residual of word {w} is numerically dependent (norm {norm})"
             )
         basis.append(vec / norm)
-    return np.column_stack(basis)
-
-
-def build_decoding_unitary(full_basis):
-    """Orthogonal V carrying the i-th basis vector onto basis state |i>."""
-    full_basis = np.asarray(full_basis, dtype=float)
-    gram = full_basis.T @ full_basis
-    if not np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-10:
-        raise ConsistencyError("input columns are not orthonormal")
-    return full_basis.T
+    basis = np.column_stack(basis)
+    if not np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-10:
+        raise ConsistencyError("completed basis is not orthonormal")
+    return basis
 
 
 def two_level_decompose(v):
@@ -203,38 +208,43 @@ def _x_run(frame, want, n):
     return run
 
 
-def factor_to_gates(factor, n):
-    """Compile one two-level rotation into a gate network.
+def factor_to_gates(factors, n):
+    """Compile two-level rotations, listed in the order they act, into one
+    gate network.
 
     Gray-code mapping: flip the bits of index i toward index j one at a
     time, highest-order differing bit first, keeping the lowest differing
     bit as the rotation target; each flip is controlled on the current
     values of all other wires.  The mapped pair differs in one bit, where a
     multi-controlled R_y(2 gamma) acts; the mapping is then undone.  Wires
-    holding 0 are flipped by an X frame, changed only where the next gate
-    needs it (a flip's own target may stay flipped) and cleared at the end.
+    holding 0 are flipped by one X frame, carried from factor to factor and
+    changed only where the next gate needs it, then cleared at the end.  A
+    mapping flip may keep its own target flipped, except the first flip of
+    a factor, which clears what the previous factor left there.
     """
-    i, j = factor.i, factor.j
     if n > MAX_WIRES:
         raise ResourceError(f"gate compilation limited to {MAX_WIRES} wires, got {n}")
-    if not 0 <= i < j < 2**n:
-        raise DomainError(f"factor indices ({i}, {j}) out of range for {n} wires")
-    diff = [w for w in range(n) if (i ^ j) >> (n - 1 - w) & 1]
-    target = diff[-1]
-    mapping, current = [], i  # (wire, basis state) of each mapping flip
-    for w in diff[:-1]:
-        mapping.append((w, current))
-        current ^= 1 << (n - 1 - w)
-    # current and j now differ only in the target wire
-    angle = -2.0 * factor.gamma if current >> (n - 1 - target) & 1 else 2.0 * factor.gamma
     gates, frame = [], 0
-    for k, (w, state) in enumerate(mapping + [(target, current)] + mapping[::-1]):
-        tbit, rotation = 1 << (n - 1 - w), k == len(mapping)
-        want = ~state & ((1 << n) - 1) & ~tbit | (0 if rotation else frame & tbit)
-        gates += _x_run(frame, want, n)
-        frame = want
-        gates.append(ControlledRotation(_OTHERS[n][w], w, angle) if rotation
-                     else ControlledFlip(_OTHERS[n][w], w))
+    for factor in factors:
+        i, j = factor.i, factor.j
+        if not 0 <= i < j < 2**n:
+            raise DomainError(f"factor indices ({i}, {j}) out of range for {n} wires")
+        diff = [w for w in range(n) if (i ^ j) >> (n - 1 - w) & 1]
+        target = diff[-1]
+        mapping, current = [], i  # (wire, basis state) of each mapping flip
+        for w in diff[:-1]:
+            mapping.append((w, current))
+            current ^= 1 << (n - 1 - w)
+        # current and j now differ only in the target wire
+        angle = -2.0 * factor.gamma if current >> (n - 1 - target) & 1 else 2.0 * factor.gamma
+        for k, (w, state) in enumerate(mapping + [(target, current)] + mapping[::-1]):
+            tbit, rotation = 1 << (n - 1 - w), k == len(mapping)
+            keep = 0 if rotation or k == 0 else frame & tbit
+            want = ~state & ((1 << n) - 1) & ~tbit | keep
+            gates += _x_run(frame, want, n)
+            frame = want
+            gates.append(ControlledRotation(_OTHERS[n][w], w, angle) if rotation
+                         else ControlledFlip(_OTHERS[n][w], w))
     return gates + _x_run(frame, 0, n)
 
 
@@ -242,28 +252,17 @@ def decoder_network(codebook, kappa):
     """Full gate network for the decoding unitary V.
 
     Returns ``(v, d, factors, gates)``.  Gates apply left to right; since
-    V = D T_1 ... T_K acts with T_K first, factor networks are emitted in
-    reverse factor order, merging the flips where two meet.  D = I for the
+    V = D T_1 ... T_K acts with T_K first, the factors are compiled in
+    reverse order into one network with one X frame.  D = I for the
     even-weight code: V^T = L^(x n) P R with det L > 0 (L = [plus | minus]),
     P the even-weight-first word order (an even permutation), and R the
     inverse Gram root and Gram-Schmidt normalizers (block triangular, det R > 0).
     """
-    mu = srm_vectors(codebook, kappa)
-    basis = gram_schmidt_completion(mu, codebook, kappa)
-    v = build_decoding_unitary(basis)
+    v = gram_schmidt_completion(srm_vectors(codebook, kappa), codebook, kappa).T
     d, factors = two_level_decompose(v)
     if np.any(d < 0):
         raise ConsistencyError("decoding unitary has determinant -1; no sign gate is compiled")
-    n, gates = codebook.n, []
-    for f in reversed(factors):
-        net, frame, k = factor_to_gates(f, n), 0, 0
-        while gates and gates[-1] is _FLIPS[gates[-1].target]:  # compiled X's are _FLIPS
-            frame ^= 1 << (n - 1 - gates.pop().target)
-        while net[k] is _FLIPS[net[k].target]:
-            frame ^= 1 << (n - 1 - net[k].target)
-            k += 1
-        gates += _x_run(frame, 0, n) + net[k:]
-    return v, d, factors, gates
+    return v, d, factors, factor_to_gates(factors[::-1], codebook.n)
 
 
 def expand_network(gates):

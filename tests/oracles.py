@@ -87,7 +87,7 @@ def holevo_condition_check(codebook, kappa, tolerance=1e-9):
     and that Lambda - zeta_j |S_j><S_j| is PSD for every codeword j.  Returns
     a dict with ``satisfied`` and the worst ``min_eigenvalue`` observed.
     """
-    mu = sqrm.srm_vectors(codebook, kappa)
+    mu = syn.srm_vectors(codebook, kappa)
     vecs = np.column_stack([cb.codeword_vector(w, kappa) for w in codebook.words])
     zeta = 1.0 / len(codebook)
     lam = np.zeros((mu.shape[0], mu.shape[0]))
@@ -167,8 +167,9 @@ def factor_to_gates_conjugated(factor, n):
     """One two-level rotation compiled gate by gate: the Gray-code mapping
     flips, the rotation and the mapping undone, each fully controlled and
     wrapped in its own uncontrolled flips on the wires where its basis state
-    holds 0.  ``synthesis.factor_to_gates`` must emit the same controlled gates
-    in the same order, and its network must give the same unitary bit for bit."""
+    holds 0.  ``synthesis.factor_to_gates`` on a list of factors must emit
+    the same controlled gates in the same order as these networks laid end to
+    end, and its network must give the same unitary bit for bit."""
 
     def bit(index, wire):
         return (index >> (n - 1 - wire)) & 1

@@ -101,7 +101,7 @@ def test_synthesize_refuses_wide_network_before_work(tmp_path, capsys, monkeypat
 
 
 def test_synthesize_refuses_ten_wires_before_work(tmp_path, capsys, monkeypatch):
-    # The Givens route's gate list grows as 4**n n: 4.3 million gates at n = 9.
+    # The Givens route's gate list grows as 4**n n: 854,711 gates at n = 9, kappa 0.5.
     _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "10")
 
 
@@ -367,20 +367,89 @@ SYNTHESIZE_DIGESTS = {
         "factors.txt": "d4b6278e83571f87e09225bee3380f03f3f36424dab8187b6c25163349752aa0",
         "network.txt": "008a2427a66ac2f2d4292fbe5ea1496a6159a1460e22a802f29ac2e81927c16e",
     },
+    7: {
+        "stdout": "f94608dc3f6c5314d0823c0e11687ab192539ea73d3bac0f07f3cc727e28cfdf",
+        "v.txt": "4145c02401da1d00062098c2d800af789d010d77aeb649f86d5662ab7fa85e94",
+        "factors.txt": "58c658f5df12701456d6b0ae81aa5d88e3900335ba3874eeb7513c463f8d17d3",
+        "network.txt": "4ad27f4de3089fc3dc0fbc19a0af5095aae51053bb9b24ead98cfbfffb39a272",
+    },
+}
+
+# The same files at kappa 0.5 and 0.9, as the per-factor compile, with the
+# flips merged where two factor networks met, wrote them; compiling the
+# factors as one list with one X frame keeps every byte.
+SYNTHESIZE_DIGESTS_AT = {
+    ("0.5", 3): {
+        "stdout": "3f87c702e9281a94f9f06a789a6e29d264b8a885b897205ffff654d85af2c532",
+        "v.txt": "43e57fd43f31df114e4129e74aa58f2d20b9667f470d0c108600bffebebe1105",
+        "factors.txt": "aac36fb4e9563f69384ca5d67021401a792a8e04244154114deaae48879996aa",
+        "network.txt": "6b528a98e05f30b3809827cdd06f1404eb3bd70061519dcfa83be81090ec8fea",
+    },
+    ("0.5", 4): {
+        "stdout": "653ffec947880d1255f2d517c0fed389a4117d026de83c01e1ad13709b8b5a9a",
+        "v.txt": "c8509a204cafb839adb4dc5d905406443d75fdb58fc6bbd5b46dc2bdc9a36ba3",
+        "factors.txt": "672f1a0b746b7014ce3e66ed9ada6d5f3bed3902758d1e5f3fdee920f4234937",
+        "network.txt": "2fe9cf500ef7c71f3c2c1b819f8302fda068a4f70998bd68faeb86c316e4d7a1",
+    },
+    ("0.5", 5): {
+        "stdout": "495a00d06e3bfcacfc44d5bf21c5181d87dbb9679f06dd70fc75c4e96cf08961",
+        "v.txt": "fd956c683794f64bf8710ae9db8be3a41937bb12662d6cc5534be2bfdf1383f5",
+        "factors.txt": "b4e17a73dd01a8f043988826b79eb03dba77b9df2340813fecb2a66ab1fe865b",
+        "network.txt": "07655c26a626c57558275acb686341ee1467f3c60a1295f8e75e61e9bb6abb00",
+    },
+    ("0.5", 6): {
+        "stdout": "b3c96e47599a03ebaa54568c1d2dab1a34db35db4a9e856893082486d50e5787",
+        "v.txt": "39355b879f93a75a3cead083dd6a6afdb6e48d1d448df21578ed5918713b5012",
+        "factors.txt": "6966d8c6f9a170f50ae2180bf8b6775993db7608cdd7c6f31e71d66d852002ff",
+        "network.txt": "35a678da001494d6940f79db776742735130e186387967da1e84a66b80af3607",
+    },
+    ("0.9", 3): {
+        "stdout": "d17e6333bd185f9423ef886d5b7d505355f719abb4ac120fded0bbedcf7858ac",
+        "v.txt": "ebe0c498c524dc90bd938861059680a1087095b722b445d10dbaf30f42c58703",
+        "factors.txt": "f83a1fdf5c72e9180650bb67d25aaf52a66fc120ee88464795af5f7ff4052b29",
+        "network.txt": "f145a8385cb700c0cb83042e3cb1ac388c478a2ff8559d4640d8c908b983de76",
+    },
+    ("0.9", 4): {
+        "stdout": "540e8ce8bade34cd5feab8a19dd229b9e5803ff03480f6cbdbf0be2017c6a6f5",
+        "v.txt": "c6209d00cb0c054312c4f7a3f874f6c2df85f77924e7c72310b95e7619269e4f",
+        "factors.txt": "c59db76fc9cf6d6db077a25781fa402aecd3b457a5ded1840fd5d3bde14ef703",
+        "network.txt": "5a06752a9121cd26fefe86f7a53bf5862d476b581b323a17199f9d6cba1df2ee",
+    },
+    ("0.9", 5): {
+        "stdout": "42287754f87492b3ace2dc18a6b93a72925497ba6fc4047f8729d8f0381c5987",
+        "v.txt": "324da1f6b96a520f8eb5fc92cc8f525870af66d29f00c9e8c1c69026901d788b",
+        "factors.txt": "c9f1d6d7a3b80c1ce82b9c6dccafe56db1930864c28425a354a40b2abbbf8dcf",
+        "network.txt": "c8fde9d4afe2040b6cb74f9b18a5aaac0410c175f21668bb22d8d81a2d720ae1",
+    },
+    ("0.9", 6): {
+        "stdout": "ad7295854478d9690e136f3480ce544402eb41b012d392c53e2c464c78443e8f",
+        "v.txt": "a88e2ba72ba33a0921596e2432b304586a00f74c6b38adea1fe195ea09d4de15",
+        "factors.txt": "6d9505990ccf1c10bd2d643cc52f6f9b5639c6cd09c0cdb3b4f7267a82aa314f",
+        "network.txt": "6d7285a7875d8f891718dd770f648fde4a082b9b117a58ddf43b8408cb26e3f6",
+    },
 }
 
 
-@pytest.mark.parametrize("n", sorted(SYNTHESIZE_DIGESTS))
-def test_synthesize_outputs_byte_identical(tmp_path, capsys, n):
+def _synthesize_digests(tmp_path, capsys, n, kappa):
     out_dir = tmp_path / "net"
     status, out, _ = _run(
-        capsys, "synthesize", "--n", str(n), "--kappa", "0.8", "--out", str(out_dir)
+        capsys, "synthesize", "--n", str(n), "--kappa", kappa, "--out", str(out_dir)
     )
     assert status == 0
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                for name in ("v.txt", "factors.txt", "network.txt")}
     digests["stdout"] = hashlib.sha256(out.encode()).hexdigest()
-    assert digests == SYNTHESIZE_DIGESTS[n]
+    return digests
+
+
+@pytest.mark.parametrize("n", sorted(SYNTHESIZE_DIGESTS))
+def test_synthesize_outputs_byte_identical(tmp_path, capsys, n):
+    assert _synthesize_digests(tmp_path, capsys, n, "0.8") == SYNTHESIZE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("kappa, n", sorted(SYNTHESIZE_DIGESTS_AT))
+def test_synthesize_outputs_byte_identical_at_kappa(tmp_path, capsys, kappa, n):
+    assert _synthesize_digests(tmp_path, capsys, n, kappa) == SYNTHESIZE_DIGESTS_AT[kappa, n]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -3,7 +3,7 @@ import pytest
 
 from srmchannel import binary_channel as bc
 from srmchannel import codebook as cb
-from srmchannel import sqrm
+from srmchannel import sqrm, synthesis as syn
 from srmchannel.exceptions import DomainError
 
 from oracles import (
@@ -156,7 +156,7 @@ def test_holevo_condition_fails_for_perturbed_measurement():
     # longer minimizes the average error probability.
     book = cb.even_weight_codebook(3)
     kappa = 0.8
-    mu = sqrm.srm_vectors(book, kappa)
+    mu = syn.srm_vectors(book, kappa)
     vecs = np.column_stack([cb.codeword_vector(w, kappa) for w in book.words])
     theta = 0.1
     m0, m1 = mu[:, 0].copy(), mu[:, 1].copy()

@@ -79,31 +79,32 @@ def test_gram_schmidt_kappa0_is_word_permutation(block3):
         assert basis[idx, col] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_build_decoding_unitary(block3):
-    mu = syn.srm_vectors(block3, 0.8)
-    basis = syn.gram_schmidt_completion(mu, block3, 0.8)
-    v = syn.build_decoding_unitary(basis)
+def test_decoding_unitary_is_completed_basis_transposed(block3):
+    v, _, _, _ = syn.decoder_network(block3, 0.8)
+    basis = syn.gram_schmidt_completion(syn.srm_vectors(block3, 0.8), block3, 0.8)
+    assert np.array_equal(v, basis.T)
     assert np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
     for m, w in enumerate(block3.words):
         amp = v[m] @ cb.codeword_vector(w, 0.8)
         assert amp == pytest.approx(X_DIAG_08, abs=1e-10)
 
 
-def test_build_decoding_unitary_kappa0_permutation(block3):
+def test_decoding_unitary_kappa0_permutation(block3):
     mu = syn.srm_vectors(block3, 0.0)
-    v = syn.build_decoding_unitary(syn.gram_schmidt_completion(mu, block3, 0.0))
+    v = syn.gram_schmidt_completion(mu, block3, 0.0).T
     assert np.allclose(np.abs(v).sum(axis=0), 1.0)
     assert np.allclose(np.abs(v).sum(axis=1), 1.0)
 
 
-def test_build_decoding_unitary_rejects_non_orthonormal():
-    with pytest.raises(ConsistencyError):
-        syn.build_decoding_unitary(np.ones((4, 4)))
+def test_gram_schmidt_rejects_non_orthonormal():
+    book = cb.Codebook(2, ("00", "01", "10", "11"))
+    with pytest.raises(ConsistencyError, match="completed basis is not orthonormal"):
+        syn.gram_schmidt_completion(np.ones((4, 4)), book, 0.5)
 
 
 def test_error_probability_via_v(block3):
     mu = syn.srm_vectors(block3, 0.8)
-    v = syn.build_decoding_unitary(syn.gram_schmidt_completion(mu, block3, 0.8))
+    v = syn.gram_schmidt_completion(mu, block3, 0.8).T
     # codeword m is decoded correctly with probability <m|V|S_m>^2
     amps = np.array([v[m] @ cb.codeword_vector(w, 0.8) for m, w in enumerate(block3.words)])
     pe = 1.0 - np.mean(amps**2)
@@ -117,7 +118,7 @@ def test_error_probability_via_v(block3):
 def test_error_probability_via_v_alternative():
     book = alternative_codebook()
     mu = syn.srm_vectors(book, 0.8)
-    v = syn.build_decoding_unitary(syn.gram_schmidt_completion(mu, book, 0.8))
+    v = syn.gram_schmidt_completion(mu, book, 0.8).T
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
     amps = np.array([v[m] @ cb.codeword_vector(w, 0.8) for m, w in enumerate(book.words)])
     assert 1.0 - np.mean(amps**2) == pytest.approx(
@@ -128,12 +129,27 @@ def test_error_probability_via_v_alternative():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_decoding_unitary_has_no_sign_to_realize(n):
     # det V = +1 for the even-weight code, so decoder_network compiles no
-    # sign gate; the kappas stop short of 0.9, where Gram-Schmidt fails at n = 6.
+    # sign gate; the kappas stop short of the Gram-Schmidt failures (from 0.86 at n = 7).
     book = cb.even_weight_codebook(n)
     for kappa in [0.8] if n == 7 else np.linspace(0.05, 0.85, 17):
         basis = syn.gram_schmidt_completion(syn.srm_vectors(book, kappa), book, kappa)
-        d, _ = syn.two_level_decompose(syn.build_decoding_unitary(basis))
+        d, _ = syn.two_level_decompose(basis.T)
         assert np.array_equal(d, np.ones(2**n)), (n, kappa)
+
+
+@pytest.mark.parametrize("n, raises, returns", [
+    (4, 0.98, 0.97), (5, 0.95, 0.94), (6, 0.92, 0.91), (7, 0.86, 0.87), (8, 0.84, 0.82)])
+def test_completion_orthonormality_edge(n, raises, returns, monkeypatch):
+    # The edge of the region where classical Gram-Schmidt loses orthogonality
+    # as the codeword states approach each other, on a 0.01 grid in kappa.
+    # two_level_decompose's own check (on V V^T) passes at the raising points
+    # for n = 5..8, so this fails if the completion stops checking B^T B.  The
+    # compile cannot raise ConsistencyError and is skipped.
+    monkeypatch.setattr(syn, "factor_to_gates", lambda factors, n: [])
+    book = cb.even_weight_codebook(n)
+    with pytest.raises(ConsistencyError, match="completed basis is not orthonormal"):
+        syn.decoder_network(book, raises)
+    syn.decoder_network(book, returns)
 
 
 def test_two_level_identity():
@@ -182,7 +198,7 @@ def test_recompose_matches_dense_factor_product():
 def test_factor_gates_single_bit_pair():
     # indices differing in one bit need no mapping gates
     f = syn.TwoLevelFactor(i=4, j=6, gamma=0.45)  # 100 vs 110
-    gates = syn.factor_to_gates(f, 3)
+    gates = syn.factor_to_gates([f], 3)
     assert sum(isinstance(g, syn.ControlledFlip) and bool(g.controls) for g in gates) == 0
     u = syn.simulate_network(gates, 3)
     assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
@@ -191,7 +207,7 @@ def test_factor_gates_single_bit_pair():
 def test_factor_gates_antipodal_pair():
     # 010 vs 101: the mapping block carries the pair onto neighbours
     f = syn.TwoLevelFactor(i=2, j=5, gamma=0.3)
-    u = syn.simulate_network(syn.factor_to_gates(f, 3), 3)
+    u = syn.simulate_network(syn.factor_to_gates([f], 3), 3)
     assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
 
 
@@ -200,7 +216,7 @@ def test_factor_gates_random(seed):
     rng = np.random.default_rng(seed)
     i, j = sorted(rng.choice(8, size=2, replace=False))
     f = syn.TwoLevelFactor(i=int(i), j=int(j), gamma=float(rng.uniform(-np.pi, np.pi)))
-    u = syn.simulate_network(syn.factor_to_gates(f, 3), 3)
+    u = syn.simulate_network(syn.factor_to_gates([f], 3), 3)
     assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
 
 
@@ -294,7 +310,7 @@ def test_expanded_network_bit_identical_to_row_pair_route(block3):
 
 def test_factor_to_gates_limited_to_simulated_width():
     with pytest.raises(ResourceError):
-        syn.factor_to_gates(syn.TwoLevelFactor(i=0, j=1, gamma=0.1), syn.MAX_WIRES + 1)
+        syn.factor_to_gates([syn.TwoLevelFactor(i=0, j=1, gamma=0.1)], syn.MAX_WIRES + 1)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 0.8])

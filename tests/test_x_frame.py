@@ -1,10 +1,11 @@
 """The decoder's X frame against the per-gate X-wrapped compile.
 
-``synthesis.factor_to_gates`` flips only the wires whose state changes
-between two controlled gates, and ``decoder_network`` merges the flips where
-two factor networks meet.  Only uncontrolled flips may differ from
-``oracles.factor_to_gates_conjugated``: the controlled gates are the same
-in the same order, and the simulated unitary is the same bit for bit.
+``synthesis.factor_to_gates`` compiles a list of factors with one X frame
+and flips only the wires whose state changes between two controlled gates,
+within a factor and where two factors meet.  Only uncontrolled flips may
+differ from ``oracles.factor_to_gates_conjugated``: the controlled gates
+are the same in the same order, and the simulated unitary is the same bit
+for bit.
 """
 
 import numpy as np
@@ -36,12 +37,16 @@ def _decoder(n, kappa, monkeypatch):
         q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(2**n, 2**n)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        monkeypatch.setattr(syn, "build_decoding_unitary", lambda basis: q)
+        monkeypatch.setattr(syn, "gram_schmidt_completion", lambda mu, book, kappa: q.T)
         return syn.decoder_network(book, kappa)
 
 
 def _oracle_network(factors, n):
     return [g for f in reversed(factors) for g in factor_to_gates_conjugated(f, n)]
+
+
+def _controlled_lines(gates):
+    return [line for line in syn.network_to_text(gates).splitlines() if not line.startswith("X ")]
 
 
 def _assert_frame_structure(gates, n):
@@ -63,10 +68,7 @@ def _assert_frame_structure(gates, n):
 def test_decoder_network_equals_x_wrapped_oracle(n, kappa, monkeypatch):
     _, _, factors, gates = _decoder(n, kappa, monkeypatch)
     oracle = _oracle_network(factors, n)
-    text = syn.network_to_text(gates).splitlines()
-    oracle_text = syn.network_to_text(oracle).splitlines()
-    assert ([line for line in text if not line.startswith("X ")]
-            == [line for line in oracle_text if not line.startswith("X ")])
+    assert _controlled_lines(gates) == _controlled_lines(oracle)
     assert len(gates) < len(oracle)
     assert np.array_equal(syn.simulate_network(gates, n), syn.simulate_network(oracle, n))
 
@@ -77,7 +79,7 @@ def test_x_frame_structure(n, kappa, monkeypatch):
     _, _, factors, gates = _decoder(n, kappa, monkeypatch)
     _assert_frame_structure(gates, n)
     for f in factors:
-        _assert_frame_structure(syn.factor_to_gates(f, n), n)
+        _assert_frame_structure(syn.factor_to_gates([f], n), n)
 
 
 @pytest.mark.parametrize("n, count", [(3, 58), (4, 304), (5, 1537), (6, 7710)])
@@ -102,9 +104,10 @@ def _factor_lists(draw):
 @given(_factor_lists())
 def test_compiled_factors_equal_recompose(case):
     n, factors = case
-    networks = [syn.factor_to_gates(f, n) for f in reversed(factors)]
-    for gates in networks:
-        _assert_frame_structure(gates, n)
-    u = syn.simulate_network([g for gates in networks for g in gates], n)
+    gates = syn.factor_to_gates(factors[::-1], n)
+    _assert_frame_structure(gates, n)
+    u = syn.simulate_network(gates, n)
     assert np.max(np.abs(u - syn.recompose(np.ones(2**n), factors))) < 1e-12
-    assert np.array_equal(u, syn.simulate_network(_oracle_network(factors, n), n))
+    oracle = _oracle_network(factors, n)
+    assert _controlled_lines(gates) == _controlled_lines(oracle)
+    assert np.array_equal(u, syn.simulate_network(oracle, n))
