@@ -1,8 +1,10 @@
 """Command-line workbench.
 
 Subcommands: ``c1`` (single-use quantities), ``sweep`` (figure-reproduction
-tables), ``threshold`` (superadditivity onset), ``synthesize`` (decoder
-unitary, factors, and gate network), ``gatecheck`` (pulse-sequence solve).
+tables), ``threshold`` (superadditivity onset), ``synthesize`` (the
+Gram-Schmidt decoding unitary ``v.txt`` and the structured Fourier gate
+network ``network.txt``, checked against the SRM vectors), ``gatecheck``
+(pulse-sequence solve).
 
 Exit status: 0 success, 2 usage, domain or output-path error, 3 verification
 failure (``synthesize`` and ``gatecheck`` check their own results and write
@@ -136,26 +138,21 @@ def _cmd_synthesize(args):
         raise DomainError("synthesis requires 0 < kappa < 1")
     if args.n > synthesis.MAX_WIRES:
         raise ResourceError(
-            f"the decoder's gate list grows as 4**n n, so synthesis is limited to"
+            f"v.txt holds a 2**n x 2**n basis, so synthesis is limited to"
             f" {synthesis.MAX_WIRES} wires; got n = {args.n}"
         )
     book = cb_mod.even_weight_codebook(args.n)
-    v, d, factors, gates = synthesis.decoder_network(book, args.kappa)
-    recomposed = synthesis.recompose(d, factors)
-    if np.max(np.abs(recomposed - v)) > 1e-10:
-        print("verification failed: two-level recomposition mismatch", file=sys.stderr)
-        return EXIT_VERIFY
-    simulated = synthesis.simulate_network(gates, args.n)
-    if np.max(np.abs(simulated - v)) > 1e-9:
-        print("verification failed: gate network does not match V", file=sys.stderr)
+    mu = synthesis.srm_vectors(book, args.kappa)
+    v = synthesis.gram_schmidt_completion(mu, book, args.kappa).T
+    gates = synthesis.fourier_network(args.n, args.kappa)
+    # the network must carry each SRM vector mu_j onto +-|j>
+    readout = synthesis.apply_network(gates, mu, args.n)[: len(book)]
+    if np.max(np.abs(np.abs(readout) - np.eye(len(book)))) > 1e-9:
+        print("verification failed: gate network does not reproduce the SRM", file=sys.stderr)
         return EXIT_VERIFY
     os.makedirs(args.out, exist_ok=True)
     row = " ".join(["%.17g"] * len(v)) + "\n"
     _atomic_write(os.path.join(args.out, "v.txt"), "".join(row % tuple(r) for r in v.tolist()))
-    _atomic_write(
-        os.path.join(args.out, "factors.txt"),
-        "\n".join(f"{f.i} {f.j} {f.gamma:.17g}" for f in factors) + "\n",
-    )
     _atomic_write(os.path.join(args.out, "network.txt"), synthesis.network_to_text(gates))
     # the even-weight channel is symmetric: every P(w|w) is 1 - P_e
     _, pe = sqrm.even_weight_summary(args.n, args.kappa)
@@ -217,7 +214,7 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("synthesize", help="decoder unitary and gate network")
+    p = sub.add_parser("synthesize", help="decoder basis and structured gate network")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--out", required=True, help="output directory")

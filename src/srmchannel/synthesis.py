@@ -1,18 +1,30 @@
 """Constructive realization of the SRM as a unitary plus level detection.
 
-The measurement vectors, completed to a full orthonormal basis of the block
-Hilbert space, define a real orthogonal operator V that rotates each
-measurement direction onto a computational-basis state; decoding is then a
-plain level detection of the individual letters.  V is factored into
-two-level (Givens) rotations, each of which compiles to fully controlled
-flips (Gray-code mapping), one y-rotation and the mapping undone, with plain
-flips that change one X frame, carried across the whole network, only where
-0-controls change.  Every gate is a 2x2 core on a target wire under a set of
-control wires, and a simulator that relabels rows for every flip and mixes
-row pairs with the other cores verifies every network.  ``expand_network``
+Two routes build the decoder of the even-weight code.  ``fourier_network``
+is the one ``synthesize`` writes: the codeword states are geometrically
+uniform, so their SRM is a Fourier measurement (Eldar & Forney, IEEE TIT 47,
+858), run by a frame rotation, a CX fan-out, one uniformly controlled R_y
+compiled as a Gray-code chain (Mottonen et al., PRL 93, 130502) that pairs
+its terms on one control wire, Hadamards and a shift of the readout,
+3 * 2**(n-2) + 6n - 5 gates with at most one control each.
+``apply_network`` runs a gate list on state vectors, which is how
+``synthesize`` checks that it carries each SRM vector onto its readout row.
+
+The Givens route is the reference: the measurement vectors, completed to a
+full orthonormal basis of the block Hilbert space, define a real orthogonal
+operator V that rotates each measurement direction onto a computational-basis
+state.  V is factored into two-level (Givens) rotations, each of which
+compiles to fully controlled flips (Gray-code mapping), one y-rotation and
+the mapping undone, with plain flips that change one X frame, carried across
+the whole network, only where 0-controls change.  ``expand_network``
 rewrites each doubly controlled gate into five one-control gates with exact
 square-root cores; a Toffoli becomes three controlled square roots of NOT
-(the two-bit gate of ``cavityqed``) and two controlled NOTs.
+(the two-bit gate of ``cavityqed``) and two controlled NOTs.  ``synthesize``
+still writes the completed basis as ``v.txt``.
+
+Every gate is a 2x2 core on a target wire under a set of control wires, and
+a simulator that relabels rows for every flip and mixes row pairs with the
+other cores runs every network.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
@@ -22,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codebook as cb_mod
+from . import codebook as cb_mod, sqrm
 from .exceptions import ConsistencyError, DomainError, ResourceError
 
 __all__ = [
@@ -36,14 +48,18 @@ __all__ = [
     "recompose",
     "factor_to_gates",
     "decoder_network",
+    "fourier_network",
     "expand_network",
+    "apply_network",
     "simulate_network",
     "network_to_text",
     "ry_matrix",
 ]
 
-# Widest network synthesized or simulated: the Givens route's gate list grows
-# as O(4**n n), about 0.85 million gates (10 s, 0.15 GB) at 9 wires, kappa 0.5.
+# Widest network synthesized or simulated.  The completed basis behind v.txt
+# is 2**n x 2**n (Gram-Schmidt over 2**n columns: synthesize takes 0.9-1.4 s at
+# 9 wires, kappa 0.5, on a 2-core host), and the Givens route's gate list
+# grows as O(4**n n), 0.85 million gates at 9 wires.
 MAX_WIRES = 9
 
 _OMIT_BELOW = 1e-12
@@ -106,6 +122,11 @@ class ControlledUnitary:
 _FLIPS = tuple(ControlledFlip(controls=(), target=w) for w in range(MAX_WIRES))
 _OTHERS = tuple(tuple(tuple(c for c in range(n) if c != w) for w in range(n))
                 for n in range(MAX_WIRES + 1))
+
+
+def _check_wires(n, what):
+    if n > MAX_WIRES:
+        raise ResourceError(f"{what} limited to {MAX_WIRES} wires, got {n}")
 
 
 def srm_vectors(codebook, kappa):
@@ -222,8 +243,7 @@ def factor_to_gates(factors, n):
     mapping flip may keep its own target flipped, except the first flip of
     a factor, which clears what the previous factor left there.
     """
-    if n > MAX_WIRES:
-        raise ResourceError(f"gate compilation limited to {MAX_WIRES} wires, got {n}")
+    _check_wires(n, "gate compilation")
     gates, frame = [], 0
     for factor in factors:
         i, j = factor.i, factor.j
@@ -263,6 +283,53 @@ def decoder_network(codebook, kappa):
     if np.any(d < 0):
         raise ConsistencyError("decoding unitary has determinant -1; no sign gate is compiled")
     return v, d, factors, factor_to_gates(factors[::-1], codebook.n)
+
+
+def fourier_network(n, kappa):
+    """SRM of the length-n even-weight code as 3 * 2**(n-2) + 6n - 5 gates
+    (9 at n = 2), none with more than one control.
+
+    R_y(-arccos kappa) on every wire turns the letters into
+    cos t|0> -+ sin t|1> (cos 2t = kappa), so a codeword c has amplitude
+    a_|x| (-1)^(c.x) on |x>, with a_w = cos^(n-w) t (-sin t)^w; x and its
+    complement carry the same sign.  A CX fan-out from the pivot wire n - 1
+    pairs them on the pivot, and an R_y there, uniformly controlled by the
+    data wires 0..n-2 with angle -2 atan2(a_(n-w), a_w) for data weight w,
+    leaves the pivot in |0>.  Its angle for data pattern d is
+    sum_s b_s (-1)^(s.d), b the Walsh-Hadamard transform of the class angles
+    over the data pattern, over 2**(n-1).  A Gray-code chain over data wires
+    0..n-3 realizes it: in the X frame of mask s (bit 0 clear) a pivot
+    rotation by b_s + b_(s|1) and a CR from data wire n-2 by -2 b_(s|1)
+    give the terms s and s|1, then a CX from the data wire whose bit changes
+    next moves the frame on.  Hadamards (X R_y(pi/2)) on the data wires
+    then make the Fourier measurement, and CX pairs shift the data wires one
+    wire down, so codeword c is read out at row c >> 1,
+    its index in the codebook's increasing word order, with wire 0 reading 0.
+    """
+    if n < 2:
+        raise DomainError(f"block length must be >= 2, got {n}")
+    _check_wires(n, "gate compilation")
+    if not 0.0 <= kappa <= 1.0:
+        raise DomainError(f"kappa must lie in [0, 1], got {kappa}")
+    pivot, half = n - 1, 2 ** (n - 1)
+    t = 0.5 * np.arccos(kappa)
+    w = np.arange(n + 1)
+    a = np.cos(t) ** (n - w) * (-np.sin(t)) ** w
+    class_angles = -2.0 * np.arctan2(a[::-1], a)
+    chain = sqrm.fwht(class_angles[[y.bit_count() for y in range(half)]]) / half
+    gates = [ControlledRotation((), k, -2.0 * t) for k in range(n)]
+    gates += [ControlledFlip((pivot,), k) for k in range(pivot)]
+    gray = [(i ^ i >> 1) << 1 for i in range(half // 2)]
+    for code, following in zip(gray, gray[1:] + gray[:1]):
+        gates += [ControlledRotation((), pivot, chain[code] + chain[code | 1]),
+                  ControlledRotation((pivot - 1,), pivot, -2.0 * chain[code | 1])]
+        if code != following:  # one bit, that of data wire pivot - bit_length
+            gates.append(ControlledFlip((pivot - (code ^ following).bit_length(),), pivot))
+    for k in range(pivot):
+        gates += [ControlledRotation((), k, np.pi / 2), _FLIPS[k]]
+    for k in range(n - 2, -1, -1):
+        gates += [ControlledFlip((k,), k + 1), ControlledFlip((k + 1,), k)]
+    return gates
 
 
 def expand_network(gates):
@@ -305,10 +372,10 @@ def _row_pairs(controls, target, n):
     return tbit, lo, [r | tbit for r in lo]
 
 
-def simulate_network(gates, n):
-    """Unitary of a gate list, applied left to right.
+def apply_network(gates, states, n):
+    """The gate list applied left to right to the columns of ``states``.
 
-    Flips do no arithmetic: row r of the product is kept at row
+    Flips do no arithmetic: row r of the result is kept at row
     ``pos[r ^ frame]``, so an uncontrolled flip toggles its target bit in
     ``frame`` and a controlled one swaps entries of the row permutation
     ``pos``.  Every other gate mixes the rows of the pairs its controls
@@ -316,11 +383,10 @@ def simulate_network(gates, n):
     ``(controls, target)``.  The result is real unless some
     ControlledUnitary core is complex.
     """
-    if n > MAX_WIRES:
-        raise ResourceError(f"network simulation limited to {MAX_WIRES} wires, got {n}")
+    _check_wires(n, "network simulation")
     complex_core = any(isinstance(g, ControlledUnitary) and np.iscomplexobj(g.core)
                        for g in gates)
-    out = np.eye(2**n, dtype=complex if complex_core else float)
+    out = np.array(states, dtype=complex if complex_core else float)
     pos = list(range(2**n))
     frame = 0
     pairs = {}
@@ -344,6 +410,12 @@ def simulate_network(gates, n):
         else:
             frame ^= tbit
     return out[np.array(pos)[np.arange(2**n) ^ frame]]
+
+
+def simulate_network(gates, n):
+    """Unitary of a gate list: the network applied to the identity."""
+    _check_wires(n, "network simulation")  # before the identity is allocated
+    return apply_network(gates, np.eye(2**n), n)
 
 
 def network_to_text(gates):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -87,7 +88,7 @@ def _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, n):
     def no_work(*args):
         raise AssertionError("synthesis started")
 
-    monkeypatch.setattr(syn, "decoder_network", no_work)
+    monkeypatch.setattr(syn, "srm_vectors", no_work)
     status, _, err = _run(
         capsys, "synthesize", "--n", n, "--kappa", "0.5", "--out", str(tmp_path / "x")
     )
@@ -101,7 +102,7 @@ def test_synthesize_refuses_wide_network_before_work(tmp_path, capsys, monkeypat
 
 
 def test_synthesize_refuses_ten_wires_before_work(tmp_path, capsys, monkeypatch):
-    # The Givens route's gate list grows as 4**n n: 854,711 gates at n = 9, kappa 0.5.
+    # v.txt is the 2**n x 2**n completed basis: 512 x 512 at n = 9.
     _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "10")
 
 
@@ -328,104 +329,90 @@ def test_synthesize_writes_artifacts(tmp_path, capsys):
     assert status == 0
     assert out.splitlines()[0].startswith("P_e ")
     assert float(out.splitlines()[0].split()[1]) == pytest.approx(0.230520, abs=1e-5)
-    assert {"v.txt", "factors.txt", "network.txt"} <= {p.name for p in out_dir.iterdir()}
+    assert {p.name for p in out_dir.iterdir()} == {"v.txt", "network.txt"}
     v = np.loadtxt(out_dir / "v.txt")
     assert v.shape == (8, 8)
     assert np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
     text = (out_dir / "network.txt").read_text()
     gates = read_network(text)
     assert syn.network_to_text(gates) == text
+    assert len(gates) == 19
+    assert max(len(g.controls) for g in gates) == 1
 
 
-# sha256 of what `synthesize --n N --kappa 0.8` writes, as the row-pair
-# simulator and the per-gate text writer produced it.  The stdout, v.txt and
-# factors.txt digests are the benchmark reference's; network.txt is the
-# X-frame compile's, whose controlled gates and unitary equal the reference's
-# per-gate X-wrapped network (tests/test_x_frame.py).
+# sha256 of what `synthesize --n N --kappa 0.8` writes.  The stdout and v.txt
+# digests are the benchmark reference's; network.txt is the structured Fourier
+# decoder's.  The Givens route's gate network and factor list at the same
+# points are pinned in tests/test_synthesis.py.
 SYNTHESIZE_DIGESTS = {
     3: {
         "stdout": "5ec6e97e299a4d9c45ce208e1f919f66ec1ab7dea5efa6b9bdc0286c6b1fa7b8",
         "v.txt": "71719e260f760e0ae6549f92d0d0f2e124779c77d8b9687b0bd11fb0f78f5997",
-        "factors.txt": "e8321b94071f3ece4b3631b500a3af7ef68f426e279de0e1f4666520c611bbbe",
-        "network.txt": "b3f3ce65a6b8718b0bc872e7cfa7cb13ff6f192b0541d7e58db13dbb0800a032",
+        "network.txt": "efadc1c3dc683b148668550a7d38cad9a5df6f3a18ff3a229e030e4e31d13a58",
     },
     4: {
         "stdout": "bf4dc2fd9d1a57614ce5f628422e23bf2a275e84b7d9eb1a42d14ab7eb4efe27",
         "v.txt": "e0a1f55519280eb56388b176d167770e42ac505cd72cd8638571039b92e03ee3",
-        "factors.txt": "fc256d35742542c0b62aa1674ddb80e7ec6c9d099d3e4ccf63630751dd768cb6",
-        "network.txt": "b6652f1cb75a2d932a2f37bd069b8ae2c401e672b29648cab9a87ce088b8478a",
+        "network.txt": "77819846ed0a2e023364128df928c94a3d90ecf55ba7c11e17850fe5a640a1c6",
     },
     5: {
         "stdout": "fd303fc0a5c7887ec18344c042fee74458a7a15e29b8cd8a4fde6d7e0ecdccce",
         "v.txt": "93d7e266461b4860fbd515101e0767c322b720ab608b667f4c1b8bdcb35e8485",
-        "factors.txt": "3bccb4057560da479c4d5571f3ffafb12b1d5f4ee75f3a7b6131c73d75b974bc",
-        "network.txt": "f0eab7a6a552ce39973a4d25a383e270c7b6d58ccbf968fc862cb0a77fe6060d",
+        "network.txt": "3783f008a6b883f72e63104764078972c4633ff39aecc155e9c4a88b5cb85260",
     },
     6: {
         "stdout": "5dd48d91d09036dc46105c7d892c77e810dc85be4e502dfde37a4d103b0ec815",
         "v.txt": "d13347afbb2408d0a0a52b251451aff46abe8f24c13b547d0aabc35daaad0260",
-        "factors.txt": "d4b6278e83571f87e09225bee3380f03f3f36424dab8187b6c25163349752aa0",
-        "network.txt": "008a2427a66ac2f2d4292fbe5ea1496a6159a1460e22a802f29ac2e81927c16e",
+        "network.txt": "e76ff922fe2f7b1c5373cb6ed1dca2344f6178afd3f7ca1363fff177ca4d5d8a",
     },
     7: {
         "stdout": "f94608dc3f6c5314d0823c0e11687ab192539ea73d3bac0f07f3cc727e28cfdf",
         "v.txt": "4145c02401da1d00062098c2d800af789d010d77aeb649f86d5662ab7fa85e94",
-        "factors.txt": "58c658f5df12701456d6b0ae81aa5d88e3900335ba3874eeb7513c463f8d17d3",
-        "network.txt": "4ad27f4de3089fc3dc0fbc19a0af5095aae51053bb9b24ead98cfbfffb39a272",
+        "network.txt": "bc3e596303783078b0e982cab220d11d4cfc1b4b2795759cc1766cc0ffede284",
     },
 }
 
-# The same files at kappa 0.5 and 0.9, as the per-factor compile, with the
-# flips merged where two factor networks met, wrote them; compiling the
-# factors as one list with one X frame keeps every byte.
+# The same files at kappa 0.5 and 0.9.
 SYNTHESIZE_DIGESTS_AT = {
     ("0.5", 3): {
         "stdout": "3f87c702e9281a94f9f06a789a6e29d264b8a885b897205ffff654d85af2c532",
         "v.txt": "43e57fd43f31df114e4129e74aa58f2d20b9667f470d0c108600bffebebe1105",
-        "factors.txt": "aac36fb4e9563f69384ca5d67021401a792a8e04244154114deaae48879996aa",
-        "network.txt": "6b528a98e05f30b3809827cdd06f1404eb3bd70061519dcfa83be81090ec8fea",
+        "network.txt": "6e5d3ee860fa0ed375bee14213ac3878cd50952af2128585f8f3c9206e67f26b",
     },
     ("0.5", 4): {
         "stdout": "653ffec947880d1255f2d517c0fed389a4117d026de83c01e1ad13709b8b5a9a",
         "v.txt": "c8509a204cafb839adb4dc5d905406443d75fdb58fc6bbd5b46dc2bdc9a36ba3",
-        "factors.txt": "672f1a0b746b7014ce3e66ed9ada6d5f3bed3902758d1e5f3fdee920f4234937",
-        "network.txt": "2fe9cf500ef7c71f3c2c1b819f8302fda068a4f70998bd68faeb86c316e4d7a1",
+        "network.txt": "e00d850146e590067cb88540b776d6db39e7a2e1b0277936bcf09d27062e02f1",
     },
     ("0.5", 5): {
         "stdout": "495a00d06e3bfcacfc44d5bf21c5181d87dbb9679f06dd70fc75c4e96cf08961",
         "v.txt": "fd956c683794f64bf8710ae9db8be3a41937bb12662d6cc5534be2bfdf1383f5",
-        "factors.txt": "b4e17a73dd01a8f043988826b79eb03dba77b9df2340813fecb2a66ab1fe865b",
-        "network.txt": "07655c26a626c57558275acb686341ee1467f3c60a1295f8e75e61e9bb6abb00",
+        "network.txt": "d63c96112aaba27c137ba227690aaf443902530af909aee1ef5d2b86a7bd748d",
     },
     ("0.5", 6): {
         "stdout": "b3c96e47599a03ebaa54568c1d2dab1a34db35db4a9e856893082486d50e5787",
         "v.txt": "39355b879f93a75a3cead083dd6a6afdb6e48d1d448df21578ed5918713b5012",
-        "factors.txt": "6966d8c6f9a170f50ae2180bf8b6775993db7608cdd7c6f31e71d66d852002ff",
-        "network.txt": "35a678da001494d6940f79db776742735130e186387967da1e84a66b80af3607",
+        "network.txt": "8e5eb01f5e03c5648e77d98440d7d1032e4e3d4a14787d62dcb84d959738fcd2",
     },
     ("0.9", 3): {
         "stdout": "d17e6333bd185f9423ef886d5b7d505355f719abb4ac120fded0bbedcf7858ac",
         "v.txt": "ebe0c498c524dc90bd938861059680a1087095b722b445d10dbaf30f42c58703",
-        "factors.txt": "f83a1fdf5c72e9180650bb67d25aaf52a66fc120ee88464795af5f7ff4052b29",
-        "network.txt": "f145a8385cb700c0cb83042e3cb1ac388c478a2ff8559d4640d8c908b983de76",
+        "network.txt": "663a03b89a6ceb46c5bb40c7669883af1c7be766df0852697a5daf6f5e7a8011",
     },
     ("0.9", 4): {
         "stdout": "540e8ce8bade34cd5feab8a19dd229b9e5803ff03480f6cbdbf0be2017c6a6f5",
         "v.txt": "c6209d00cb0c054312c4f7a3f874f6c2df85f77924e7c72310b95e7619269e4f",
-        "factors.txt": "c59db76fc9cf6d6db077a25781fa402aecd3b457a5ded1840fd5d3bde14ef703",
-        "network.txt": "5a06752a9121cd26fefe86f7a53bf5862d476b581b323a17199f9d6cba1df2ee",
+        "network.txt": "0e9449dfeca29afbb98c9afef7d6ad16dda6bb4e741c0eec48a948eb3aed4ce4",
     },
     ("0.9", 5): {
         "stdout": "42287754f87492b3ace2dc18a6b93a72925497ba6fc4047f8729d8f0381c5987",
         "v.txt": "324da1f6b96a520f8eb5fc92cc8f525870af66d29f00c9e8c1c69026901d788b",
-        "factors.txt": "c9f1d6d7a3b80c1ce82b9c6dccafe56db1930864c28425a354a40b2abbbf8dcf",
-        "network.txt": "c8fde9d4afe2040b6cb74f9b18a5aaac0410c175f21668bb22d8d81a2d720ae1",
+        "network.txt": "33faaa9b1aa93f30111a5b56ff603f80769fe11b3d622887847ace35611f0616",
     },
     ("0.9", 6): {
         "stdout": "ad7295854478d9690e136f3480ce544402eb41b012d392c53e2c464c78443e8f",
         "v.txt": "a88e2ba72ba33a0921596e2432b304586a00f74c6b38adea1fe195ea09d4de15",
-        "factors.txt": "6d9505990ccf1c10bd2d643cc52f6f9b5639c6cd09c0cdb3b4f7267a82aa314f",
-        "network.txt": "6d7285a7875d8f891718dd770f648fde4a082b9b117a58ddf43b8408cb26e3f6",
+        "network.txt": "7061f2a9d5c36333ece0c14382347c45c5055dff60bc4f94103c04310a37905d",
     },
 }
 
@@ -437,7 +424,7 @@ def _synthesize_digests(tmp_path, capsys, n, kappa):
     )
     assert status == 0
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-               for name in ("v.txt", "factors.txt", "network.txt")}
+               for name in ("v.txt", "network.txt")}
     digests["stdout"] = hashlib.sha256(out.encode()).hexdigest()
     return digests
 
@@ -481,6 +468,32 @@ def test_synthesize_degenerate_kappa(tmp_path, capsys):
     )
     assert status == 2
     assert "kappa" in err
+
+
+@pytest.mark.parametrize("which", ["frame", "chain", "cr", "hadamard"])
+def test_synthesize_network_check_can_fail(tmp_path, capsys, monkeypatch, which):
+    # one R_y angle of the Fourier network off by 1e-3: the frame rotation of
+    # wire 0, the first pivot rotation of the Gray-code chain, the CR after it,
+    # or the first Hadamard
+    build = syn.fourier_network
+
+    def perturbed(n, kappa):
+        gates = build(n, kappa)
+        k = {"frame": 0, "chain": 2 * n - 1, "cr": 2 * n,
+             "hadamard": 2 * n - 1 + 3 * 2 ** (n - 2)}[which]
+        assert isinstance(gates[k], syn.ControlledRotation)
+        assert gates[k].controls == ((n - 2,) if which == "cr" else ())
+        gates[k] = dataclasses.replace(gates[k], angle=gates[k].angle + 1e-3)
+        return gates
+
+    monkeypatch.setattr(syn, "fourier_network", perturbed)
+    out_dir = tmp_path / "x"
+    status, out, err = _run(capsys, "synthesize", "--n", "4", "--kappa", "0.8",
+                            "--out", str(out_dir))
+    assert status == 3
+    assert out == ""
+    assert err.splitlines() == ["verification failed: gate network does not reproduce the SRM"]
+    assert not out_dir.exists()
 
 
 def test_gatecheck_defaults(capsys):

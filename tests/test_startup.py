@@ -84,6 +84,6 @@ def test_second_call_prints_the_same_bytes(fresh_runs, case):
     assert second == first
 
 
-def test_synthesize_writes_its_three_files(fresh_runs):
+def test_synthesize_writes_its_two_files(fresh_runs):
     _, (_, _, files), _ = fresh_runs["synthesize"]
-    assert sorted(files) == ["factors.txt", "network.txt", "v.txt"]
+    assert sorted(files) == ["network.txt", "v.txt"]

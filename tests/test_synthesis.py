@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -347,3 +349,132 @@ def test_serialization_rejects_generic_core():
     g = syn.ControlledUnitary(controls=(0,), target=1, core=np.eye(2) * 1j)
     with pytest.raises(DomainError):
         syn.network_to_text([g])
+
+
+# sha256 of the Givens route's factor list (one "i j gamma" line per factor)
+# and gate network (network_to_text) at the points whose synthesize outputs
+# tests/test_cli.py pins, so the reference route stays byte-pinned.
+GIVENS_DIGESTS = {
+    (0.5, 3): (
+        "aac36fb4e9563f69384ca5d67021401a792a8e04244154114deaae48879996aa",
+        "6b528a98e05f30b3809827cdd06f1404eb3bd70061519dcfa83be81090ec8fea",
+    ),
+    (0.5, 4): (
+        "672f1a0b746b7014ce3e66ed9ada6d5f3bed3902758d1e5f3fdee920f4234937",
+        "2fe9cf500ef7c71f3c2c1b819f8302fda068a4f70998bd68faeb86c316e4d7a1",
+    ),
+    (0.5, 5): (
+        "b4e17a73dd01a8f043988826b79eb03dba77b9df2340813fecb2a66ab1fe865b",
+        "07655c26a626c57558275acb686341ee1467f3c60a1295f8e75e61e9bb6abb00",
+    ),
+    (0.5, 6): (
+        "6966d8c6f9a170f50ae2180bf8b6775993db7608cdd7c6f31e71d66d852002ff",
+        "35a678da001494d6940f79db776742735130e186387967da1e84a66b80af3607",
+    ),
+    (0.8, 3): (
+        "e8321b94071f3ece4b3631b500a3af7ef68f426e279de0e1f4666520c611bbbe",
+        "b3f3ce65a6b8718b0bc872e7cfa7cb13ff6f192b0541d7e58db13dbb0800a032",
+    ),
+    (0.8, 4): (
+        "fc256d35742542c0b62aa1674ddb80e7ec6c9d099d3e4ccf63630751dd768cb6",
+        "b6652f1cb75a2d932a2f37bd069b8ae2c401e672b29648cab9a87ce088b8478a",
+    ),
+    (0.8, 5): (
+        "3bccb4057560da479c4d5571f3ffafb12b1d5f4ee75f3a7b6131c73d75b974bc",
+        "f0eab7a6a552ce39973a4d25a383e270c7b6d58ccbf968fc862cb0a77fe6060d",
+    ),
+    (0.8, 6): (
+        "d4b6278e83571f87e09225bee3380f03f3f36424dab8187b6c25163349752aa0",
+        "008a2427a66ac2f2d4292fbe5ea1496a6159a1460e22a802f29ac2e81927c16e",
+    ),
+    (0.8, 7): (
+        "58c658f5df12701456d6b0ae81aa5d88e3900335ba3874eeb7513c463f8d17d3",
+        "4ad27f4de3089fc3dc0fbc19a0af5095aae51053bb9b24ead98cfbfffb39a272",
+    ),
+    (0.9, 3): (
+        "f83a1fdf5c72e9180650bb67d25aaf52a66fc120ee88464795af5f7ff4052b29",
+        "f145a8385cb700c0cb83042e3cb1ac388c478a2ff8559d4640d8c908b983de76",
+    ),
+    (0.9, 4): (
+        "c59db76fc9cf6d6db077a25781fa402aecd3b457a5ded1840fd5d3bde14ef703",
+        "5a06752a9121cd26fefe86f7a53bf5862d476b581b323a17199f9d6cba1df2ee",
+    ),
+    (0.9, 5): (
+        "c9f1d6d7a3b80c1ce82b9c6dccafe56db1930864c28425a354a40b2abbbf8dcf",
+        "c8fde9d4afe2040b6cb74f9b18a5aaac0410c175f21668bb22d8d81a2d720ae1",
+    ),
+    (0.9, 6): (
+        "6d9505990ccf1c10bd2d643cc52f6f9b5639c6cd09c0cdb3b4f7267a82aa314f",
+        "6d7285a7875d8f891718dd770f648fde4a082b9b117a58ddf43b8408cb26e3f6",
+    ),
+}
+
+
+@pytest.mark.parametrize("kappa, n", sorted(GIVENS_DIGESTS))
+def test_givens_route_byte_identical(kappa, n):
+    _, _, factors, gates = syn.decoder_network(cb.even_weight_codebook(n), kappa)
+    factors_text = "\n".join(f"{f.i} {f.j} {f.gamma:.17g}" for f in factors) + "\n"
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (factors_text, syn.network_to_text(gates)))
+    assert digests == GIVENS_DIGESTS[kappa, n]
+
+
+def _gram_root_from_spectrum(book, kappa):
+    """Principal Gram root of the even-weight code from its exact spectrum:
+    the character u of weight k has eigenvalue
+    [(1+kappa)^(n-k) (1-kappa)^k + (1-kappa)^(n-k) (1+kappa)^k] / 2, so
+    X = H^T diag(sqrt(lambda)) H / 2**n with H[u, c] = (-1)^(u.c)."""
+    n = book.n
+    u = np.arange(2**n)
+    weight = np.array([bin(x).count("1") for x in u])
+    lam = 0.5 * ((1 + kappa) ** (n - weight) * (1 - kappa) ** weight
+                 + (1 - kappa) ** (n - weight) * (1 + kappa) ** weight)
+    words = np.array([int(w, 2) for w in book.words])
+    chars = np.array([[(-1.0) ** bin(x & c).count("1") for c in words] for x in u])
+    return chars.T @ (np.sqrt(lam)[:, None] * chars) / 2**n
+
+
+FOURIER_KAPPAS = (0.05, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999999)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_fourier_network_reproduces_srm(n):
+    # rows 0..M-1 of the network's output hold the SRM readout in codebook
+    # order; kappa 0.99 and 0.999999 include points where Gram-Schmidt raises
+    book = cb.even_weight_codebook(n)
+    for kappa in FOURIER_KAPPAS:
+        states = np.column_stack([cb.codeword_vector(w, kappa) for w in book.words])
+        readout = syn.apply_network(syn.fourier_network(n, kappa), states, n)[: len(book)]
+        x = _gram_root_from_spectrum(book, kappa)
+        assert np.max(np.abs(readout**2 - x**2)) < 1e-13, kappa
+        if kappa <= 0.99:  # the eigh root loses digits as the Gram matrix turns singular
+            dense = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
+            assert np.max(np.abs(readout**2 - dense**2)) < 1e-10, kappa
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_fourier_network_has_one_control_gates(n):
+    gates = syn.fourier_network(n, 0.8)
+    # 2**(n-2) steps of pivot rotation, CR and CX, the one step at n = 2 without CX
+    assert len(gates) == 3 * 2 ** (n - 2) + 6 * n - 5 - (n == 2)
+    assert sum(isinstance(g, syn.ControlledRotation) and g.controls == (n - 2,)
+               for g in gates) == 2 ** (n - 2)
+    assert max(len(g.controls) for g in gates) == 1
+    assert syn.expand_network(gates) == gates
+
+
+def test_apply_network_is_the_unitary_on_the_states(block3):
+    _, _, _, gates = syn.decoder_network(block3, 0.8)
+    states = np.random.default_rng(3).normal(size=(8, 5))
+    u = syn.simulate_network(gates, 3)
+    assert np.max(np.abs(syn.apply_network(gates, states, 3) - u @ states)) < 1e-14
+    assert np.array_equal(syn.apply_network(gates, np.eye(8), 3), u)
+
+
+@pytest.mark.parametrize("n, kappa, error", [
+    (1, 0.5, DomainError), (syn.MAX_WIRES + 1, 0.5, ResourceError),
+    (3, -0.1, DomainError), (3, 1.5, DomainError), (3, float("nan"), DomainError),
+], ids=["one-wire", "too-wide", "negative-kappa", "kappa-above-1", "nan-kappa"])
+def test_fourier_network_refuses(n, kappa, error):
+    with pytest.raises(error):
+        syn.fourier_network(n, kappa)
