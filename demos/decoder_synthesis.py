@@ -19,6 +19,7 @@ from srmchannel import sqrm, synthesis as syn
 
 kappa = 0.8
 book = cb.even_weight_codebook(3)
+states = cb.codeword_states(3, book.words, kappa)  # column m is codeword m
 
 # ------------------------------------------------------------------
 # the decoding unitary
@@ -28,7 +29,7 @@ print(f"V is {v.shape[0]}x{v.shape[1]}, orthogonality defect "
       f"{np.max(np.abs(v.T @ v - np.eye(8))):.1e}")
 
 x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
-amps = np.array([v[m] @ cb.codeword_vector(w, kappa) for m, w in enumerate(book.words)])
+amps = np.array([v[m] @ states[:, m] for m in range(len(book))])
 print("codeword detection amplitudes <m|V|S_m> vs Gram-root diagonal:")
 for w, amp, x_mm in zip(book.words, amps, np.diag(x)):
     print(f"  {w}: {amp:.12f}   (x_mm = {x_mm:.12f})")
@@ -86,7 +87,7 @@ print()
 p_ref = sqrm.conditional_probabilities(x)
 print("P(decode j | sent i), network vs SRM:")
 for i, w in enumerate(book.words):
-    amps = u @ cb.codeword_vector(w, kappa)
+    amps = u @ states[:, i]
     probs = amps[: len(book)] ** 2
     defect = np.max(np.abs(probs - p_ref[i, : len(book)]))
     print(f"  sent {w}: " + " ".join(f"{q:.4f}" for q in probs) + f"   (defect {defect:.1e})")
@@ -106,7 +107,6 @@ print(f"Fourier network: {len(fourier)} gates against {len(gates)} Givens gates 
       f"({len(expanded)} once expanded)")
 print(f"expand_network leaves it unchanged: {syn.expand_network(fourier) == fourier} "
       f"(at most {max(len(g.controls) for g in fourier)} control per gate)")
-states = np.column_stack([cb.codeword_vector(w, kappa) for w in book.words])
 readout = syn.apply_network(fourier, states, 3)[: len(book)]
 print(f"Fourier network P(j|i) vs SRM = {np.max(np.abs(readout.T**2 - p_ref)):.1e}")
 print("gates per block length, Givens vs Fourier (3 * 2^(n-2) + 6n - 5):")

@@ -14,7 +14,7 @@ Basis orders: single atom (up, down); atom (x) cavity with the photon
 number fastest; two atoms (x) cavity as (a, b, c) with c fastest.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _SQRT_X.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class PulseParams:
+class PulseParams(NamedTuple):
     """Physical parameters of the two-bit gate sequence (SI units); the Ramsey
     pump amplitudes follow from the durations, as both pulse areas are pi/4."""
 

@@ -17,6 +17,7 @@ from .exceptions import DomainError, ResourceError
 __all__ = [
     "Codebook",
     "even_weight_codebook",
+    "codeword_states",
     "codeword_vector",
     "gram_matrix",
 ]
@@ -66,16 +67,30 @@ def even_weight_codebook(n):
     return Codebook(n=n, words=words)
 
 
-def codeword_vector(word, kappa):
-    """Tensor-product unit vector of a codeword in dimension 2**len(word).
+def codeword_states(n, words, kappa):
+    """Tensor-product unit vectors of length-n codewords, as the columns of a
+    2**n x len(words) matrix.
 
-    Built with outer products: entry for entry the ``np.kron`` chain, faster.
+    Built left to right with one broadcast outer product per letter position:
+    entry for entry the ``np.kron`` chain of each word.  The matrix is the
+    transpose of a row-per-word array, so ``.T[k]`` is word k's state,
+    contiguous.
     """
     plus, minus = letter_states(kappa)
-    vec = np.array([1.0])
-    for b in word:
-        vec = np.multiply.outer(vec, minus if b == "1" else plus).ravel()
-    return vec
+    m = len(words)
+    is_minus = np.frombuffer("".join(words).encode(), dtype=np.uint8).reshape(m, n) == ord("1")
+    states = np.ones((m, 1))
+    for k in range(n):
+        letter = np.where(is_minus[:, k, None], minus, plus)
+        states = (states[:, :, None] * letter[:, None, :]).reshape(m, 2 ** (k + 1))
+    return states.T
+
+
+def codeword_vector(word, kappa):
+    """Tensor-product unit vector of one codeword: its column of
+    ``codeword_states``.  The package builds states with that function; this
+    one-word form stays because srmbench's per-layer metrics name it."""
+    return codeword_states(len(word), (word,), kappa)[:, 0]
 
 
 def gram_matrix(codebook, kappa):

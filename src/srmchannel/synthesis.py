@@ -30,7 +30,7 @@ Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,9 +57,9 @@ __all__ = [
 ]
 
 # Widest network synthesized or simulated.  The completed basis behind v.txt
-# is 2**n x 2**n (Gram-Schmidt over 2**n columns: synthesize takes 0.9-1.4 s at
-# 9 wires, kappa 0.5, on a 2-core host), and the Givens route's gate list
-# grows as O(4**n n), 0.85 million gates at 9 wires.
+# is 2**n x 2**n (at 9 wires, kappa 0.5, on a 2-core host with one BLAS
+# thread, its Gram-Schmidt takes 0.45-0.76 s and synthesize 1.1-1.3 s), and
+# the Givens route's gate list grows as O(4**n n), 0.85 million gates at 9 wires.
 MAX_WIRES = 9
 
 _OMIT_BELOW = 1e-12
@@ -77,8 +77,7 @@ def ry_matrix(theta):
     return np.array([[c, -s], [s, c]])
 
 
-@dataclass(frozen=True)
-class TwoLevelFactor:
+class TwoLevelFactor(NamedTuple):
     """Rotation by ``gamma`` in the plane of basis states i < j."""
 
     i: int
@@ -86,8 +85,7 @@ class TwoLevelFactor:
     gamma: float
 
 
-@dataclass(frozen=True)
-class ControlledRotation:
+class ControlledRotation(NamedTuple):
     """R_y(angle) on ``target`` when every wire in ``controls`` holds 1."""
 
     controls: tuple
@@ -99,8 +97,7 @@ class ControlledRotation:
         return ry_matrix(self.angle)
 
 
-@dataclass(frozen=True)
-class ControlledFlip:
+class ControlledFlip(NamedTuple):
     """sigma_x on ``target`` when every wire in ``controls`` holds 1."""
 
     controls: tuple
@@ -108,8 +105,7 @@ class ControlledFlip:
     core = _SIGMA_X
 
 
-@dataclass(frozen=True)
-class ControlledUnitary:
+class ControlledUnitary(NamedTuple):
     """Generic controlled 2x2 core; simulatable but not text-serializable."""
 
     controls: tuple
@@ -138,8 +134,7 @@ def srm_vectors(codebook, kappa):
             f"gram matrix is singular (min eigenvalue {eigvals[0]}); SRM undefined"
         )
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    vecs = np.column_stack([cb_mod.codeword_vector(w, kappa) for w in codebook.words])
-    return vecs @ inv_sqrt
+    return cb_mod.codeword_states(codebook.n, codebook.words, kappa) @ inv_sqrt
 
 
 def gram_schmidt_completion(mu, codebook, kappa):
@@ -149,25 +144,30 @@ def gram_schmidt_completion(mu, codebook, kappa):
     order; each contributes the normalized residual against everything
     accumulated so far.  Returns a matrix B whose columns are the basis;
     its transpose is the decoding unitary V, which carries the i-th basis
-    vector onto basis state |i>.  Classical Gram-Schmidt loses orthogonality
-    as the codeword states approach each other, so a B with B^T B off the
-    identity by more than 1e-10 raises ``ConsistencyError``.
+    vector onto basis state |i>.  This is modified Gram-Schmidt: each
+    projection is taken from the residual the previous ones left, updated in
+    place.  The mu columns enter as the strided views they are: copied to
+    contiguous arrays they send the dot products to another BLAS kernel,
+    which changes the last bits of B.  Gram-Schmidt still loses
+    orthogonality as the codeword states approach each other, so a B with
+    B^T B off the identity by more than 1e-10 raises ``ConsistencyError``.
     """
-    dim = 2**codebook.n
+    n = codebook.n
     mu = np.asarray(mu, dtype=float)
     used = set(codebook.words)
-    remaining = [w for w in (format(v, f"0{codebook.n}b") for v in range(dim)) if w not in used]
+    remaining = [w for w in (format(v, f"0{n}b") for v in range(2**n)) if w not in used]
     basis = [mu[:, k] for k in range(mu.shape[1])]
-    for w in remaining:
-        vec = cb_mod.codeword_vector(w, kappa)
+    # one contiguous row per remaining word, each turned into its residual
+    for w, vec in zip(remaining, cb_mod.codeword_states(n, remaining, kappa).T):
         for b in basis:
-            vec = vec - (b @ vec) * b
+            vec -= np.dot(b, vec) * b
         norm = np.linalg.norm(vec)
         if norm < 1e-8:
             raise DomainError(
                 f"residual of word {w} is numerically dependent (norm {norm})"
             )
-        basis.append(vec / norm)
+        vec /= norm
+        basis.append(vec)
     basis = np.column_stack(basis)
     if not np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-10:
         raise ConsistencyError("completed basis is not orthonormal")

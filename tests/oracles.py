@@ -40,7 +40,7 @@ def holevo_limit_dense(kappa):
 
 def codeword_vector_kron(word, kappa):
     """Product state of a codeword as a chain of ``np.kron`` with the letter
-    states, left to right.  ``codebook.codeword_vector`` must agree with it
+    states, left to right.  ``codebook.codeword_states`` must agree with it
     bit for bit."""
     plus, minus = bc.letter_states(kappa)
     vec = np.array([1.0])
@@ -88,7 +88,7 @@ def holevo_condition_check(codebook, kappa, tolerance=1e-9):
     a dict with ``satisfied`` and the worst ``min_eigenvalue`` observed.
     """
     mu = syn.srm_vectors(codebook, kappa)
-    vecs = np.column_stack([cb.codeword_vector(w, kappa) for w in codebook.words])
+    vecs = cb.codeword_states(codebook.n, codebook.words, kappa)
     zeta = 1.0 / len(codebook)
     lam = np.zeros((mu.shape[0], mu.shape[0]))
     for i in range(len(codebook)):

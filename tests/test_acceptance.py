@@ -125,9 +125,7 @@ def test_criterion_09_decoder_synthesis():
         v, d, factors, gates = syn.decoder_network(book3, kappa)
         x = sqrm.principal_sqrt(cb.gram_matrix(book3, kappa))
         ok &= np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
-        amps = np.array(
-            [v[m] @ cb.codeword_vector(w, kappa) for m, w in enumerate(book3.words)]
-        )
+        amps = np.diag(v[:4] @ cb.codeword_states(3, book3.words, kappa))
         ok &= np.max(np.abs(amps**2 - np.diag(x) ** 2)) < 1e-10
         ok &= abs(1.0 - np.mean(amps**2) - average_error_probability(x)) < 1e-10
         ok &= np.max(np.abs(syn.recompose(d, factors) - v)) < 1e-10

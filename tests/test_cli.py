@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -483,7 +482,8 @@ def test_synthesize_network_check_can_fail(tmp_path, capsys, monkeypatch, which)
              "hadamard": 2 * n - 1 + 3 * 2 ** (n - 2)}[which]
         assert isinstance(gates[k], syn.ControlledRotation)
         assert gates[k].controls == ((n - 2,) if which == "cr" else ())
-        gates[k] = dataclasses.replace(gates[k], angle=gates[k].angle + 1e-3)
+        g = gates[k]
+        gates[k] = syn.ControlledRotation(g.controls, g.target, g.angle + 1e-3)
         return gates
 
     monkeypatch.setattr(syn, "fourier_network", perturbed)

@@ -16,7 +16,7 @@ def _distance(a, b):
 
 def _gram_from_vectors(codebook, kappa):
     """Gram matrix from explicit 2**n-dimensional inner products."""
-    vecs = np.column_stack([cb.codeword_vector(w, kappa) for w in codebook.words])
+    vecs = cb.codeword_states(codebook.n, codebook.words, kappa)
     return vecs.T @ vecs
 
 
@@ -98,11 +98,29 @@ def test_codeword_vector_matches_kron_chain(kappa):
             assert np.array_equal(vec, codeword_vector_kron(word, kappa)), word
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.37, 0.8, 1.0])
+def test_codeword_states_match_kron_chain(kappa):
+    for n in range(1, 7):
+        words = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+        states = cb.codeword_states(n, words, kappa)
+        assert states.shape == (2**n, 2**n)
+        for k, word in enumerate(words):
+            assert np.array_equal(states[:, k], codeword_vector_kron(word, kappa)), word
+
+
+def test_codeword_states_of_no_words():
+    for n in (0, 1, 4):
+        states = cb.codeword_states(n, (), 0.8)
+        assert states.shape == (2**n, 0)
+        assert states.dtype == float
+
+
 def test_codeword_overlap_is_kappa_to_hamming():
     kappa = 0.8
     book = cb.even_weight_codebook(3)
-    for w1, w2 in itertools.product(book.words, repeat=2):
-        inner = cb.codeword_vector(w1, kappa) @ cb.codeword_vector(w2, kappa)
+    states = cb.codeword_states(3, book.words, kappa)
+    for (i, w1), (j, w2) in itertools.product(enumerate(book.words), repeat=2):
+        inner = states[:, i] @ states[:, j]
         assert inner == pytest.approx(
             kappa ** _distance(w1, w2), abs=1e-12
         )

@@ -157,7 +157,7 @@ def test_holevo_condition_fails_for_perturbed_measurement():
     book = cb.even_weight_codebook(3)
     kappa = 0.8
     mu = syn.srm_vectors(book, kappa)
-    vecs = np.column_stack([cb.codeword_vector(w, kappa) for w in book.words])
+    vecs = cb.codeword_states(3, book.words, kappa)
     theta = 0.1
     m0, m1 = mu[:, 0].copy(), mu[:, 1].copy()
     mu[:, 0] = np.cos(theta) * m0 + np.sin(theta) * m1

@@ -39,7 +39,7 @@ def test_srm_vectors_orthonormal(block3):
 
 def test_srm_vectors_overlap_is_sqrt_gram(block3):
     mu = syn.srm_vectors(block3, 0.8)
-    vecs = np.column_stack([cb.codeword_vector(w, 0.8) for w in block3.words])
+    vecs = cb.codeword_states(3, block3.words, 0.8)
     x = sqrm.principal_sqrt(cb.gram_matrix(block3, 0.8))
     assert np.max(np.abs(mu.T @ vecs - x)) < 1e-10
     assert mu[:, 0] @ vecs[:, 0] == pytest.approx(X_DIAG_08, abs=1e-10)
@@ -47,7 +47,7 @@ def test_srm_vectors_overlap_is_sqrt_gram(block3):
 
 def test_srm_vectors_near_orthogonal_limit(block3):
     mu = syn.srm_vectors(block3, 1e-6)
-    vecs = np.column_stack([cb.codeword_vector(w, 1e-6) for w in block3.words])
+    vecs = cb.codeword_states(3, block3.words, 1e-6)
     assert np.max(np.abs(mu - vecs)) < 1e-5
 
 
@@ -86,9 +86,8 @@ def test_decoding_unitary_is_completed_basis_transposed(block3):
     basis = syn.gram_schmidt_completion(syn.srm_vectors(block3, 0.8), block3, 0.8)
     assert np.array_equal(v, basis.T)
     assert np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
-    for m, w in enumerate(block3.words):
-        amp = v[m] @ cb.codeword_vector(w, 0.8)
-        assert amp == pytest.approx(X_DIAG_08, abs=1e-10)
+    amps = np.diag(v[:4] @ cb.codeword_states(3, block3.words, 0.8))
+    assert amps == pytest.approx([X_DIAG_08] * 4, abs=1e-10)
 
 
 def test_decoding_unitary_kappa0_permutation(block3):
@@ -96,6 +95,12 @@ def test_decoding_unitary_kappa0_permutation(block3):
     v = syn.gram_schmidt_completion(mu, block3, 0.0).T
     assert np.allclose(np.abs(v).sum(axis=0), 1.0)
     assert np.allclose(np.abs(v).sum(axis=1), 1.0)
+
+
+def test_gram_schmidt_of_a_full_codebook_adds_nothing():
+    book = cb.Codebook(2, ("00", "01", "10", "11"))
+    mu = syn.srm_vectors(book, 0.5)
+    assert np.array_equal(syn.gram_schmidt_completion(mu, book, 0.5), mu)
 
 
 def test_gram_schmidt_rejects_non_orthonormal():
@@ -108,7 +113,7 @@ def test_error_probability_via_v(block3):
     mu = syn.srm_vectors(block3, 0.8)
     v = syn.gram_schmidt_completion(mu, block3, 0.8).T
     # codeword m is decoded correctly with probability <m|V|S_m>^2
-    amps = np.array([v[m] @ cb.codeword_vector(w, 0.8) for m, w in enumerate(block3.words)])
+    amps = np.diag(v[:4] @ cb.codeword_states(3, block3.words, 0.8))
     pe = 1.0 - np.mean(amps**2)
     assert pe == pytest.approx(PE_08, abs=1e-10)
     x = sqrm.principal_sqrt(cb.gram_matrix(block3, 0.8))
@@ -122,7 +127,7 @@ def test_error_probability_via_v_alternative():
     mu = syn.srm_vectors(book, 0.8)
     v = syn.gram_schmidt_completion(mu, book, 0.8).T
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
-    amps = np.array([v[m] @ cb.codeword_vector(w, 0.8) for m, w in enumerate(book.words)])
+    amps = np.diag(v[: len(book)] @ cb.codeword_states(3, book.words, 0.8))
     assert 1.0 - np.mean(amps**2) == pytest.approx(
         average_error_probability(x), abs=1e-10
     )
@@ -329,12 +334,9 @@ def test_end_to_end_conditional_distribution(block3, kappa):
     u = syn.simulate_network(gates, 3)
     x = sqrm.principal_sqrt(cb.gram_matrix(block3, kappa))
     p = sqrm.conditional_probabilities(x)
-    outcome_indices = list(range(4))  # codeword outcomes occupy the first slots
-    for i, w in enumerate(block3.words):
-        amps = u @ cb.codeword_vector(w, kappa)
-        probs = amps**2
-        for j in outcome_indices:
-            assert probs[j] == pytest.approx(p[i, j], abs=1e-8)
+    # codeword outcomes occupy the first slots
+    probs = (u @ cb.codeword_states(3, block3.words, kappa))[:4] ** 2
+    assert np.max(np.abs(probs.T - p)) < 1e-8
 
 
 def test_network_serialization_round_trip(block3):
@@ -443,7 +445,7 @@ def test_fourier_network_reproduces_srm(n):
     # order; kappa 0.99 and 0.999999 include points where Gram-Schmidt raises
     book = cb.even_weight_codebook(n)
     for kappa in FOURIER_KAPPAS:
-        states = np.column_stack([cb.codeword_vector(w, kappa) for w in book.words])
+        states = cb.codeword_states(n, book.words, kappa)
         readout = syn.apply_network(syn.fourier_network(n, kappa), states, n)[: len(book)]
         x = _gram_root_from_spectrum(book, kappa)
         assert np.max(np.abs(readout**2 - x**2)) < 1e-13, kappa
