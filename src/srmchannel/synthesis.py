@@ -58,7 +58,7 @@ __all__ = [
 
 # Widest network synthesized or simulated.  The completed basis behind v.txt
 # is 2**n x 2**n (at 9 wires, kappa 0.5, on a 2-core host with one BLAS
-# thread, its Gram-Schmidt takes 0.45-0.76 s and synthesize 1.1-1.3 s), and
+# thread, its Gram-Schmidt takes 0.22-0.31 s and synthesize 0.71-0.90 s), and
 # the Givens route's gate list grows as O(4**n n), 0.85 million gates at 9 wires.
 MAX_WIRES = 9
 
@@ -144,9 +144,14 @@ def gram_schmidt_completion(mu, codebook, kappa):
     order; each contributes the normalized residual against everything
     accumulated so far.  Returns a matrix B whose columns are the basis;
     its transpose is the decoding unitary V, which carries the i-th basis
-    vector onto basis state |i>.  This is modified Gram-Schmidt: each
-    projection is taken from the residual the previous ones left, updated in
-    place.  The mu columns enter as the strided views they are: copied to
+    vector onto basis state |i>.  This is modified Gram-Schmidt, run
+    right-looking: the residuals are the rows of one array, each mu column is
+    projected out of all of them at once, and then each residual in turn is
+    normalized and projected out of the rows after it.  Every residual still
+    takes the same projections in the same order as one built alone, and
+    ``np.vecdot`` runs the BLAS dot of ``np.dot`` on each row, so B is the
+    same to the last bit; ``rest @ b`` or ``einsum`` would sum in another
+    order.  The mu columns enter as the strided views they are: copied to
     contiguous arrays they send the dot products to another BLAS kernel,
     which changes the last bits of B.  Gram-Schmidt still loses
     orthogonality as the codeword states approach each other, so a B with
@@ -156,19 +161,20 @@ def gram_schmidt_completion(mu, codebook, kappa):
     mu = np.asarray(mu, dtype=float)
     used = set(codebook.words)
     remaining = [w for w in (format(v, f"0{n}b") for v in range(2**n)) if w not in used]
-    basis = [mu[:, k] for k in range(mu.shape[1])]
     # one contiguous row per remaining word, each turned into its residual
-    for w, vec in zip(remaining, cb_mod.codeword_states(n, remaining, kappa).T):
-        for b in basis:
-            vec -= np.dot(b, vec) * b
+    rest = cb_mod.codeword_states(n, remaining, kappa).T
+    for b in mu.T:
+        rest -= np.vecdot(b, rest)[:, None] * b
+    for i, (w, vec) in enumerate(zip(remaining, rest)):
         norm = np.linalg.norm(vec)
         if norm < 1e-8:
             raise DomainError(
                 f"residual of word {w} is numerically dependent (norm {norm})"
             )
         vec /= norm
-        basis.append(vec)
-    basis = np.column_stack(basis)
+        later = rest[i + 1:]
+        later -= np.vecdot(vec, later)[:, None] * vec
+    basis = np.column_stack((mu, rest.T))
     if not np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-10:
         raise ConsistencyError("completed basis is not orthonormal")
     return basis

@@ -10,7 +10,7 @@ from srmchannel import cavityqed as cq
 from srmchannel import codebook as cb
 from srmchannel import sqrm, sweep
 from srmchannel import synthesis as syn
-from srmchannel.exceptions import DomainError
+from srmchannel.exceptions import ConsistencyError, DomainError
 
 
 def product_decoding_information(n, kappa):
@@ -47,6 +47,32 @@ def codeword_vector_kron(word, kappa):
     for b in word:
         vec = np.kron(vec, minus if b == "1" else plus)
     return vec
+
+
+def gram_schmidt_completion_per_vector(mu, codebook, kappa):
+    """``synthesis.gram_schmidt_completion`` one residual at a time, each
+    projection a separate ``np.dot`` on one word's contiguous row.  The
+    library's whole-array steps must agree with it byte for byte, including
+    which exception each (n, kappa) raises and its message."""
+    n = codebook.n
+    mu = np.asarray(mu, dtype=float)
+    used = set(codebook.words)
+    remaining = [w for w in (format(v, f"0{n}b") for v in range(2**n)) if w not in used]
+    basis = [mu[:, k] for k in range(mu.shape[1])]
+    for w, vec in zip(remaining, cb.codeword_states(n, remaining, kappa).T):
+        for b in basis:
+            vec -= np.dot(b, vec) * b
+        norm = np.linalg.norm(vec)
+        if norm < 1e-8:
+            raise DomainError(
+                f"residual of word {w} is numerically dependent (norm {norm})"
+            )
+        vec /= norm
+        basis.append(vec)
+    basis = np.column_stack(basis)
+    if not np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-10:
+        raise ConsistencyError("completed basis is not orthonormal")
+    return basis
 
 
 def alternative_codebook():

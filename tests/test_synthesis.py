@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     alternative_codebook,
     average_error_probability,
+    gram_schmidt_completion_per_vector,
     read_network,
     simulate_network_row_pairs,
 )
@@ -147,7 +148,7 @@ def test_decoding_unitary_has_no_sign_to_realize(n):
 @pytest.mark.parametrize("n, raises, returns", [
     (4, 0.98, 0.97), (5, 0.95, 0.94), (6, 0.92, 0.91), (7, 0.86, 0.87), (8, 0.84, 0.82)])
 def test_completion_orthonormality_edge(n, raises, returns, monkeypatch):
-    # The edge of the region where classical Gram-Schmidt loses orthogonality
+    # The edge of the region where Gram-Schmidt loses orthogonality
     # as the codeword states approach each other, on a 0.01 grid in kappa.
     # two_level_decompose's own check (on V V^T) passes at the raising points
     # for n = 5..8, so this fails if the completion stops checking B^T B.  The
@@ -157,6 +158,39 @@ def test_completion_orthonormality_edge(n, raises, returns, monkeypatch):
     with pytest.raises(ConsistencyError, match="completed basis is not orthonormal"):
         syn.decoder_network(book, raises)
     syn.decoder_network(book, returns)
+
+
+KAPPA_GRID = [k / 100 for k in range(1, 100)] + [0.995, 0.999, 0.999999]
+
+
+def _outcome(completion, mu, book, kappa):
+    try:
+        return completion(mu, book, kappa)
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n, kappas", [pytest.param(n, KAPPA_GRID, id=f"n{n}") for n in range(2, 8)]
+                         + [pytest.param(8, [0.3, 0.5, 0.85], id="n8")])
+def test_completion_matches_per_vector_oracle(n, kappas):
+    # The whole-array steps reproduce the per-vector loop to the last bit, and
+    # raise the same error with the same message where it raises (at n = 8,
+    # kappa = 0.85 lies in the ConsistencyError region).
+    book = cb.even_weight_codebook(n)
+    raised = 0
+    for kappa in kappas:
+        try:
+            mu = syn.srm_vectors(book, kappa)
+        except DomainError:  # singular Gram matrix: there is nothing to complete
+            continue
+        got = _outcome(syn.gram_schmidt_completion, mu, book, kappa)
+        want = _outcome(gram_schmidt_completion_per_vector, mu, book, kappa)
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want, (n, kappa)
+            raised += 1
+        else:
+            assert np.array_equal(got, want), (n, kappa)
+    assert raised > 0 or n < 4
 
 
 def test_two_level_identity():
