@@ -94,12 +94,8 @@ def codeword_vector(word, kappa):
 
 
 def gram_matrix(codebook, kappa):
-    """Gram matrix via the kappa**(Hamming distance) identity, O(M^2 n)."""
+    """Gram matrix via the kappa**(Hamming distance) identity, O(M^2)."""
     kappa = float(kappa)
     ints = np.array([int(w, 2) for w in codebook.words], dtype=np.uint64)
-    xor = ints[:, None] ^ ints[None, :]
-    distances = np.zeros(xor.shape, dtype=np.int64)
-    while xor.any():
-        distances += (xor & 1).astype(np.int64)
-        xor >>= np.uint64(1)
+    distances = np.bitwise_count(ints[:, None] ^ ints[None, :])
     return kappa ** distances.astype(float)

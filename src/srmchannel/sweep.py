@@ -5,7 +5,10 @@ even-weight code minus the one-shot capacity; it turns positive on an
 interval adjoining ``kappa = 1`` once n >= 3.  Margins and block summaries
 are elementwise in ``kappa``, so a sweep table takes one engine call per
 block length.  Sweeps emit plot-ready CSV tables; the threshold finder
-brackets the sign change by a coarse scan and refines it by bisection.
+brackets the sign change by a coarse scan (one call) and refines it by
+bisection, taking every midpoint that the next ``_BISECT_LEVELS`` steps could
+probe in one call, so the refinement finds the same bracket as a bisection
+that probes one midpoint per call.
 """
 
 from itertools import repeat
@@ -34,6 +37,10 @@ _CSV_ROW = "%d," + ",".join(["%.9g"] * 7) + "\n"
 # kappa = 1, so the margin there has no sign.
 _KAPPA_CEIL = 0.999
 _SCAN_STEP = 0.005
+# Bisection steps taken per margin call.  The scan step halved six times
+# (7.8e-5) meets the default tolerance 1e-4, so a default search makes one
+# scan call and one refinement call.
+_BISECT_LEVELS = 6
 
 
 class SweepRow(NamedTuple):
@@ -85,11 +92,32 @@ def superadditivity_margin(n, kappa, codebook_choice="even"):
     return info / n - binary_channel.capacity_c1(kappa)
 
 
+def _bisection_edges(lo, hi):
+    """Every bracket end that ``_BISECT_LEVELS`` bisection steps from
+    ``[lo, hi]`` can reach, in increasing order: ``2**_BISECT_LEVELS + 1``
+    points.  Each level's midpoints are ``0.5 * (lo + hi)`` of their own
+    sub-bracket, so every value is the one a step-by-step bisection computes.
+    """
+    step = 2**_BISECT_LEVELS
+    edges = np.empty(step + 1)
+    edges[0], edges[step] = lo, hi
+    while step > 1:
+        ends = edges[::step]
+        edges[step // 2 :: step] = 0.5 * (ends[:-1] + ends[1:])
+        step //= 2
+    return edges
+
+
 def threshold_kappa(n, tolerance=1e-4):
     """Locate the onset of superadditivity adjoining ``kappa = 1``.
 
     A coarse scan finds the last sign change below the superadditive region;
-    bisection then shrinks the bracket to the requested width.  Returns
+    bisection then shrinks the bracket until it is no wider than
+    ``tolerance``.  Each round evaluates, in one margin call, the
+    ``2**_BISECT_LEVELS - 1`` midpoints that the next ``_BISECT_LEVELS``
+    steps could probe, then walks them with the step-by-step rule (keep the
+    lower half when the margin at the midpoint is > 0), so the result is bit
+    for bit that of a bisection probing one midpoint per call.  Returns
     ``kappa_star = None`` when the margin is nowhere positive on the scan.
     A tolerance below the float spacing near ``kappa = 1`` could never be
     met, so it is refused before the scan.
@@ -107,11 +135,16 @@ def threshold_kappa(n, tolerance=1e-4):
         return ThresholdResult(n=n, kappa_star=None, bracket_width=_SCAN_STEP)
     lo, hi = grid[onsets[-1]], grid[onsets[-1] + 1]
     while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if superadditivity_margin(n, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+        edges = _bisection_edges(lo, hi)
+        positive = (superadditivity_margin(n, edges[1:-1]) > 0.0).tolist()
+        a, b = 0, len(edges) - 1
+        while b - a > 1 and hi - lo > tolerance:
+            mid = (a + b) // 2
+            if positive[mid - 1]:
+                b = mid
+            else:
+                a = mid
+            lo, hi = edges[a], edges[b]
     return ThresholdResult(n=n, kappa_star=0.5 * (lo + hi), bracket_width=hi - lo)
 
 

@@ -189,6 +189,26 @@ def rows_to_csv_per_field(rows):
     return "\n".join(lines) + "\n"
 
 
+def threshold_kappa_sequential(n, tolerance):
+    """``sweep.threshold_kappa`` as a bisection that probes one midpoint per
+    margin call: the same coarse scan and last-sign-change bracket, then
+    ``mid = 0.5 * (lo + hi)`` until the bracket is no wider than
+    ``tolerance``.  The batched search must agree with it bit for bit."""
+    grid = np.arange(sweep._SCAN_STEP, sweep._KAPPA_CEIL + 1e-12, sweep._SCAN_STEP)
+    margins = sweep.superadditivity_margin(n, grid)
+    onsets = np.flatnonzero((margins[1:] > 0.0) & (margins[:-1] <= 0.0))
+    if not onsets.size:
+        return sweep.ThresholdResult(n=n, kappa_star=None, bracket_width=sweep._SCAN_STEP)
+    lo, hi = grid[onsets[-1]], grid[onsets[-1] + 1]
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if sweep.superadditivity_margin(n, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return sweep.ThresholdResult(n=n, kappa_star=0.5 * (lo + hi), bracket_width=hi - lo)
+
+
 def factor_to_gates_conjugated(factor, n):
     """One two-level rotation compiled gate by gate: the Gray-code mapping
     flips, the rotation and the mapping undone, each fully controlled and

@@ -153,6 +153,18 @@ def test_gram_matches_tensor_route(n, kappa):
     assert np.max(np.abs(fast - dense)) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_gram_entries_are_kappa_to_word_distance(n):
+    # each entry is kappa raised to the Hamming distance counted on the word
+    # strings, bit for bit, for the even-weight code and for a set that is
+    # not closed under XOR
+    books = [cb.even_weight_codebook(n), cb.Codebook(n, ("0" * n, "1" * n, "1" + "0" * (n - 1)))]
+    for book in books:
+        distances = np.array([[_distance(u, w) for w in book.words] for u in book.words], dtype=float)
+        for kappa in (0.0, 0.3, 0.8, 0.99, 1.0):
+            assert np.array_equal(cb.gram_matrix(book, kappa), kappa**distances)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_full_codebook_gram_positive_definite(n):
     book = cb.Codebook(n, tuple(format(v, f"0{n}b") for v in range(2**n)))

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import alternative_codebook, average_error_probability
+from oracles import alternative_codebook, average_error_probability, threshold_kappa_sequential
 from srmchannel import binary_channel as bc, cli, codebook as cb, sqrm, sweep
 from srmchannel.exceptions import DomainError, ResourceError
 
@@ -97,6 +97,51 @@ def test_threshold_sequence_decreasing():
     stars = [sweep.threshold_kappa(n, 1e-4).kappa_star for n in (5, 7, 9, 11, 13)]
     assert all(s is not None for s in stars)
     assert all(a > b for a, b in zip(stars, stars[1:]))
+
+
+# 0.01 is wider than the scan step, so no refinement round runs; 1e-12 and
+# below take several rounds of batched levels.
+ORACLE_TOLERANCES = (0.01, 4e-3, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 3e-16)
+
+
+@pytest.mark.parametrize("n", range(2, cb.MAX_BLOCK_LENGTH + 1))
+def test_threshold_matches_sequential_bisection(n):
+    for tolerance in ORACLE_TOLERANCES:
+        result = sweep.threshold_kappa(n, tolerance)
+        expected = threshold_kappa_sequential(n, tolerance)
+        assert result == expected
+        assert type(result.kappa_star) is type(expected.kappa_star)
+        assert type(result.bracket_width) is type(expected.bracket_width)
+        if n == 2:
+            assert result.kappa_star is None
+
+
+@pytest.mark.parametrize("n", range(2, cb.MAX_BLOCK_LENGTH + 1))
+def test_margin_array_matches_scalar_calls(n):
+    # the threshold search evaluates many midpoints in one call and relies on
+    # each equalling its own scalar call bit for bit
+    grid = np.arange(sweep._SCAN_STEP, sweep._KAPPA_CEIL + 1e-12, sweep._SCAN_STEP)
+    kappa = np.concatenate([np.random.default_rng(n).uniform(0.0, 1.0, 100), grid])
+    batched = sweep.superadditivity_margin(n, kappa)
+    scalar = np.array([sweep.superadditivity_margin(n, k) for k in kappa])
+    assert batched.tobytes() == scalar.tobytes()
+
+
+def test_threshold_margin_call_count(monkeypatch):
+    # one scan call, then one call per round of batched bisection levels
+    calls = []
+    margin = sweep.superadditivity_margin
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return margin(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "superadditivity_margin", counted)
+    sweep.threshold_kappa(3, 1e-4)
+    assert len(calls) == 2
+    calls.clear()
+    sweep.threshold_kappa(16, 1e-12)
+    assert len(calls) <= 7
 
 
 def test_sweep_table_block3_row():
