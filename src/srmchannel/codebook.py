@@ -62,7 +62,7 @@ def even_weight_codebook(n):
         raise DomainError(f"block length must be >= 2, got {n}")
     _check_block_length(n)
     words = tuple(
-        format(v, f"0{n}b") for v in range(2**n) if bin(v).count("1") % 2 == 0
+        format(v, f"0{n}b") for v in range(2**n) if v.bit_count() % 2 == 0
     )
     return Codebook(n=n, words=words)
 

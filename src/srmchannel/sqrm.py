@@ -139,10 +139,7 @@ def xor_fast_path(codebook, kappa):
     character_sums = fwht(member)
     if np.any((character_sums != 0.0) & (character_sums != m)):
         raise DomainError("codebook is not a group under XOR")
-    weights = np.zeros(1)  # weights[x] = Hamming weight of x, built bit by bit
-    for _ in range(codebook.n):
-        weights = np.concatenate((weights, weights + 1.0))
-    spectrum = fwht(member * kappa**weights)
+    spectrum = fwht(member * kappa ** np.bitwise_count(np.arange(size)))
     floor = -_EIG_TOL * max(spectrum.max(), 1.0)
     if spectrum.min() < floor:
         raise DomainError(

@@ -22,9 +22,10 @@ square-root cores; a Toffoli becomes three controlled square roots of NOT
 (the two-bit gate of ``cavityqed``) and two controlled NOTs.  ``synthesize``
 still writes the completed basis as ``v.txt``.
 
-Every gate is a 2x2 core on a target wire under a set of control wires, and
-a simulator that relabels rows for every flip and mixes row pairs with the
-other cores runs every network.
+Every gate is a 2x2 core on a target wire under a set of control wires.  One
+simulator runs every network on a view of the state matrix with one axis per
+wire: an uncontrolled flip only changes which index of its axis holds each
+value, a controlled flip swaps two views, and the other cores mix them.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
@@ -364,58 +365,49 @@ def expand_network(gates):
     return out
 
 
-def _row_pairs(controls, target, n):
-    """Target bit and the row pairs (lo, lo | target bit) a gate on ``target``
-    under ``controls`` acts on: lo has every control bit 1, the target bit 0."""
-    if not 0 <= target < n or not all(0 <= c < n for c in controls) or target in controls:
-        raise DomainError(f"gate target {target} and controls {controls} must be"
-                          f" distinct wires in range({n})")
-    tbit = 1 << (n - 1 - target)
-    need = 0
-    for c in controls:
-        need |= 1 << (n - 1 - c)
-    lo = [r for r in range(2**n) if r & (tbit | need) == need]
-    return tbit, lo, [r | tbit for r in lo]
-
-
 def apply_network(gates, states, n):
     """The gate list applied left to right to the columns of ``states``.
 
-    Flips do no arithmetic: row r of the result is kept at row
-    ``pos[r ^ frame]``, so an uncontrolled flip toggles its target bit in
-    ``frame`` and a controlled one swaps entries of the row permutation
-    ``pos``.  Every other gate mixes the rows of the pairs its controls
-    select with its core; the pairs are worked out once per distinct
-    ``(controls, target)``.  The result is real unless some
-    ControlledUnitary core is complex.
+    The gates act on a view of the result with one axis per wire.  An
+    uncontrolled flip does no arithmetic: it toggles its wire in ``frame``, so
+    a wire's logical value v sits at index v ^ frame[w] on its axis, and the
+    axes still flipped are reversed at the end.  Every other gate indexes its
+    controls at logical 1 and its target at logical 0 and 1, which gives two
+    views of the rows it acts on: a controlled flip swaps them, and any other
+    core mixes them in place.  The result is real unless some
+    ControlledUnitary core is complex.  Gates off the wires and ``states``
+    without 2**n rows raise DomainError before any gate is applied.
     """
     _check_wires(n, "network simulation")
+    for controls, target in dict.fromkeys((g.controls, g.target) for g in gates):
+        if not 0 <= target < n or not all(0 <= c < n for c in controls) or target in controls:
+            raise DomainError(f"gate target {target} and controls {controls} must be"
+                              f" distinct wires in range({n})")
     complex_core = any(isinstance(g, ControlledUnitary) and np.iscomplexobj(g.core)
                        for g in gates)
     out = np.array(states, dtype=complex if complex_core else float)
-    pos = list(range(2**n))
-    frame = 0
-    pairs = {}
+    if out.shape[:1] != (2**n,):
+        raise DomainError(f"states must have 2**{n} = {2**n} rows, got shape {out.shape}")
+    wires = out.reshape((2,) * n + out.shape[1:])
+    frame = [0] * n
     for g in gates:
-        key = (g.controls, g.target)
-        if key not in pairs:
-            pairs[key] = _row_pairs(g.controls, g.target, n)
-        tbit, lo, hi = pairs[key]
-        if not isinstance(g, ControlledFlip):
-            u = np.asarray(g.core)
-            if len(lo) == 1:  # fully controlled: one row pair, indexed by scalars
-                rows_lo, rows_hi = pos[lo[0] ^ frame], pos[hi[0] ^ frame]
-            else:
-                rows_lo, rows_hi = [pos[r ^ frame] for r in lo], [pos[r ^ frame] for r in hi]
-            a, b = out[rows_lo], out[rows_hi]  # views are safe: both sums precede the stores
-            out[rows_lo], out[rows_hi] = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
-        elif g.controls:
-            for r, s in zip(lo, hi):
-                r, s = r ^ frame, s ^ frame
-                pos[r], pos[s] = pos[s], pos[r]
+        if not g.controls and isinstance(g, ControlledFlip):
+            frame[g.target] ^= 1
+            continue
+        index = [slice(None)] * n + [...]  # with the Ellipsis a 0-d result is a view too
+        for c in g.controls:
+            index[c] = 1 ^ frame[c]
+        index[g.target] = frame[g.target]
+        a = wires[tuple(index)]
+        index[g.target] ^= 1
+        b = wires[tuple(index)]
+        if isinstance(g, ControlledFlip):
+            a[...], b[...] = b.copy(), a.copy()
         else:
-            frame ^= tbit
-    return out[np.array(pos)[np.arange(2**n) ^ frame]]
+            u = np.asarray(g.core)
+            a[...], b[...] = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
+    flipped = [w for w in range(n) if frame[w]]
+    return np.ascontiguousarray(np.flip(wires, flipped)).reshape(out.shape)
 
 
 def simulate_network(gates, n):
@@ -427,21 +419,17 @@ def simulate_network(gates, n):
 def network_to_text(gates):
     """Line-oriented serialization; angles carry 17 significant digits.
 
-    Gates without controls are written ``RY``/``X``, the others ``CR``/``CX``.
-    The line head (kind and wires) is built once per distinct gate placement.
+    Gates without controls are written ``RY``/``X``, the others ``CR``/``CX``,
+    followed by the control wires, the target wire and, for a rotation, its
+    angle.
     """
-    heads = {}
     lines = []
     for g in gates:
-        key = (type(g), g.controls, g.target)
-        if key not in heads:
-            wires = " ".join(str(w) for w in (*g.controls, g.target))
-            if isinstance(g, ControlledRotation):
-                heads[key] = f"{'CR' if g.controls else 'RY'} {wires}"
-            elif isinstance(g, ControlledFlip):
-                heads[key] = f"{'CX' if g.controls else 'X'} {wires}"
-            else:
-                raise DomainError(f"gate {g!r} has no text form")
-        head = heads[key]
-        lines.append(f"{head} {g.angle:.17g}" if isinstance(g, ControlledRotation) else head)
+        wires = " ".join(str(w) for w in (*g.controls, g.target))
+        if isinstance(g, ControlledRotation):
+            lines.append(f"{'CR' if g.controls else 'RY'} {wires} {g.angle:.17g}")
+        elif isinstance(g, ControlledFlip):
+            lines.append(f"{'CX' if g.controls else 'X'} {wires}")
+        else:
+            raise DomainError(f"gate {g!r} has no text form")
     return "\n".join(lines) + "\n"

@@ -152,15 +152,17 @@ def read_network(text):
     return gates
 
 
-def simulate_network_row_pairs(gates, n):
-    """Unitary of a gate list by the row-pair route: row r of the product is
-    kept at row r ^ frame, an uncontrolled flip toggles its target bit in the
-    frame, and every other gate, controlled flips included, mixes the row
-    pairs its controls select with its core.  ``simulate_network`` must agree
-    with it bit for bit."""
+def simulate_network_row_pairs(gates, n, states=None):
+    """A gate list applied to the columns of ``states`` (default: the
+    identity, which gives the unitary) by the row-pair route: row r of the
+    result is kept at row r ^ frame, an uncontrolled flip toggles its target
+    bit in the frame, and every other gate, controlled flips included, mixes
+    the row pairs its controls select with its core.  ``apply_network`` and
+    ``simulate_network`` must agree with it bit for bit."""
     complex_core = any(isinstance(g, syn.ControlledUnitary) and np.iscomplexobj(g.core)
                        for g in gates)
-    out = np.eye(2**n, dtype=complex if complex_core else float)
+    out = np.array(np.eye(2**n) if states is None else states,
+                   dtype=complex if complex_core else float)
     index = np.arange(2**n)
     frame = 0
     for g in gates:

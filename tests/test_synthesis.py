@@ -330,6 +330,13 @@ def test_simulate_network_rejects_gates_off_the_wires(gate):
         syn.simulate_network([gate], 2)
 
 
+@pytest.mark.parametrize("states", [np.ones(5), np.ones((5, 2)), np.ones((3, 4)), np.ones(3)],
+                         ids=["five-rows", "five-rows-two-columns", "three-rows", "vector-of-3"])
+def test_apply_network_refuses_states_without_one_row_per_basis_state(states):
+    with pytest.raises(DomainError, match="rows"):
+        syn.apply_network([syn.ControlledFlip((0,), 1)], states, 2)
+
+
 @pytest.mark.parametrize("kappa", [0.5, 0.8])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_simulator_bit_identical_to_row_pair_route(n, kappa):
@@ -347,6 +354,33 @@ def test_expanded_network_bit_identical_to_row_pair_route(block3):
     ref = simulate_network_row_pairs(expanded, 3)
     assert u.dtype == ref.dtype == complex
     assert np.array_equal(u, ref)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fourier_network_bit_identical_to_row_pair_route(n, kappa):
+    # the network synthesize writes, on the SRM vectors it checks and on the identity
+    gates = syn.fourier_network(n, kappa)
+    mu = syn.srm_vectors(cb.even_weight_codebook(n), kappa)
+    for states in (mu, np.eye(2**n)):
+        out = syn.apply_network(gates, states, n)
+        ref = simulate_network_row_pairs(gates, n, states)
+        assert out.dtype == ref.dtype
+        assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("network", ["givens", "fourier"])
+def test_apply_network_result_independent_of_input_layout(block3, network):
+    # the Givens network clears its X frame, the Fourier one ends with flipped wires
+    gates = (syn.decoder_network(block3, 0.8)[3] if network == "givens"
+             else syn.fourier_network(3, 0.8))
+    states = np.random.default_rng(5).normal(size=(8, 3))
+    ref = simulate_network_row_pairs(gates, 3, states)
+    for layout in (states, np.asfortranarray(states)):
+        out = syn.apply_network(gates, layout, 3)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, ref)
+    assert np.array_equal(syn.apply_network(gates, states[:, 1], 3), ref[:, 1])
 
 
 def test_factor_to_gates_limited_to_simulated_width():
