@@ -1,26 +1,26 @@
 """Constructive realization of the SRM as a unitary plus level detection.
 
-Two routes build the decoder of the even-weight code.  ``fourier_network``
-is the one ``synthesize`` writes: the codeword states are geometrically
-uniform, so their SRM is a Fourier measurement (Eldar & Forney, IEEE TIT 47,
-858), run by a frame rotation, a CX fan-out, one uniformly controlled R_y
-compiled as a Gray-code chain (Mottonen et al., PRL 93, 130502) that pairs
-its terms on one control wire, Hadamards and a shift of the readout,
+``fourier_network`` builds the decoder of the even-weight code that
+``synthesize`` writes: the codeword states are geometrically uniform, so
+their SRM is a Fourier measurement (Eldar & Forney, IEEE TIT 47, 858), run
+by a frame rotation, a CX fan-out, one uniformly controlled R_y compiled as
+a Gray-code chain (Mottonen et al., PRL 93, 130502) that pairs its terms on
+one control wire, Hadamards and a shift of the readout,
 3 * 2**(n-2) + 6n - 5 gates with at most one control each.
 ``apply_network`` runs a gate list on state vectors, which is how
 ``synthesize`` checks that it carries each SRM vector onto its readout row.
+``synthesize`` also writes a decoding unitary V as ``v.txt``: the SRM
+vectors (``srm_vectors``) completed to an orthonormal basis of the block
+Hilbert space (``gram_schmidt_completion``), transposed.
 
-The Givens route is the reference: the measurement vectors, completed to a
-full orthonormal basis of the block Hilbert space, define a real orthogonal
-operator V that rotates each measurement direction onto a computational-basis
-state.  V is factored into two-level (Givens) rotations, each of which
-compiles to fully controlled flips (Gray-code mapping), one y-rotation and
-the mapping undone, with plain flips that change one X frame, carried across
-the whole network, only where 0-controls change.  ``expand_network``
-rewrites each doubly controlled gate into five one-control gates with exact
-square-root cores; a Toffoli becomes three controlled square roots of NOT
-(the two-bit gate of ``cavityqed``) and two controlled NOTs.  ``synthesize``
-still writes the completed basis as ``v.txt``.
+The Givens functions factor such a V into two-level rotations
+(``two_level_decompose``, undone by ``recompose``) and compile them
+(``factor_to_gates``) into fully controlled flips (Gray-code mapping), one
+y-rotation and the mapping undone, with plain flips that change one X
+frame, carried across the whole network, only where 0-controls change.  No
+command runs them.  They stay here only because per-layer benchmark metrics
+name them, until those metrics name stages; the tests compose them into
+the reference decoder.
 
 Every gate is a 2x2 core on a target wire under a set of control wires.  One
 simulator runs every network on a view of the state matrix with one axis per
@@ -42,15 +42,12 @@ __all__ = [
     "TwoLevelFactor",
     "ControlledRotation",
     "ControlledFlip",
-    "ControlledUnitary",
     "srm_vectors",
     "gram_schmidt_completion",
     "two_level_decompose",
     "recompose",
     "factor_to_gates",
-    "decoder_network",
     "fourier_network",
-    "expand_network",
     "apply_network",
     "simulate_network",
     "network_to_text",
@@ -58,18 +55,16 @@ __all__ = [
 ]
 
 # Widest network synthesized or simulated.  The completed basis behind v.txt
-# is 2**n x 2**n (at 9 wires, kappa 0.5, on a 2-core host with one BLAS
-# thread, its Gram-Schmidt takes 0.22-0.31 s and synthesize 0.71-0.90 s), and
-# the Givens route's gate list grows as O(4**n n), 0.85 million gates at 9 wires.
+# is 2**n x 2**n: at 9 wires, kappa 0.5, on a 2-core host with one BLAS
+# thread, its Gram-Schmidt takes 0.22-0.31 s, synthesize 0.71-0.90 s, and its
+# text is 5.8 MB.  factor_to_gates on such a basis emits O(4**n n) gates,
+# 0.85 million at 9 wires.
 MAX_WIRES = 9
 
 _OMIT_BELOW = 1e-12
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_X.flags.writeable = False  # shared as every ControlledFlip.core
-# Square root of sigma_x, symmetric so its adjoint is its conjugate.
-_SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-_SQRT_X.flags.writeable = False
 
 
 def ry_matrix(theta):
@@ -104,14 +99,6 @@ class ControlledFlip(NamedTuple):
     controls: tuple
     target: int
     core = _SIGMA_X
-
-
-class ControlledUnitary(NamedTuple):
-    """Generic controlled 2x2 core; simulatable but not text-serializable."""
-
-    controls: tuple
-    target: int
-    core: object
 
 
 # One uncontrolled flip per wire and the controls _OTHERS[n][w] of a fully controlled
@@ -275,23 +262,6 @@ def factor_to_gates(factors, n):
     return gates + _x_run(frame, 0, n)
 
 
-def decoder_network(codebook, kappa):
-    """Full gate network for the decoding unitary V.
-
-    Returns ``(v, d, factors, gates)``.  Gates apply left to right; since
-    V = D T_1 ... T_K acts with T_K first, the factors are compiled in
-    reverse order into one network with one X frame.  D = I for the
-    even-weight code: V^T = L^(x n) P R with det L > 0 (L = [plus | minus]),
-    P the even-weight-first word order (an even permutation), and R the
-    inverse Gram root and Gram-Schmidt normalizers (block triangular, det R > 0).
-    """
-    v = gram_schmidt_completion(srm_vectors(codebook, kappa), codebook, kappa).T
-    d, factors = two_level_decompose(v)
-    if np.any(d < 0):
-        raise ConsistencyError("decoding unitary has determinant -1; no sign gate is compiled")
-    return v, d, factors, factor_to_gates(factors[::-1], codebook.n)
-
-
 def fourier_network(n, kappa):
     """SRM of the length-n even-weight code as 3 * 2**(n-2) + 6n - 5 gates
     (9 at n = 2), none with more than one control.
@@ -339,32 +309,6 @@ def fourier_network(n, kappa):
     return gates
 
 
-def expand_network(gates):
-    """Rewrite each doubly controlled rotation or flip as C_c2(W), CX(c1 -> c2),
-    C_c2(W^dagger), CX(c1 -> c2), C_c1(W) with W * W = core (Barenco et al.,
-    PRA 52, 3457, Lemma 6.1).  W is exact: R_y(theta/2) for a rotation by
-    theta, and the square root of NOT for a flip, which makes each C(W) the
-    two-bit gate of Sleator and Weinfurter (PRL 74, 4087)."""
-    out = []
-    for g in gates:
-        if not isinstance(g, (ControlledRotation, ControlledFlip)) or len(g.controls) != 2:
-            out.append(g)
-            continue
-        (c1, c2), t = g.controls, g.target
-        if isinstance(g, ControlledRotation):
-            half = g.angle / 2.0
-            w, w_dag, last = (ControlledRotation((c2,), t, half),
-                              ControlledRotation((c2,), t, -half),
-                              ControlledRotation((c1,), t, half))
-        else:
-            w, w_dag, last = (ControlledUnitary((c2,), t, _SQRT_X),
-                              ControlledUnitary((c2,), t, _SQRT_X.conj()),
-                              ControlledUnitary((c1,), t, _SQRT_X))
-        cx = ControlledFlip((c1,), c2)
-        out += [w, cx, w_dag, cx, last]
-    return out
-
-
 def apply_network(gates, states, n):
     """The gate list applied left to right to the columns of ``states``.
 
@@ -374,17 +318,18 @@ def apply_network(gates, states, n):
     axes still flipped are reversed at the end.  Every other gate indexes its
     controls at logical 1 and its target at logical 0 and 1, which gives two
     views of the rows it acts on: a controlled flip swaps them, and any other
-    core mixes them in place.  The result is real unless some
-    ControlledUnitary core is complex.  Gates off the wires and ``states``
-    without 2**n rows raise DomainError before any gate is applied.
+    core mixes them in place.  The result is real unless the core of some
+    gate other than a ControlledRotation or ControlledFlip is complex.
+    Gates off the wires and ``states`` without 2**n rows raise DomainError
+    before any gate is applied.
     """
     _check_wires(n, "network simulation")
     for controls, target in dict.fromkeys((g.controls, g.target) for g in gates):
         if not 0 <= target < n or not all(0 <= c < n for c in controls) or target in controls:
             raise DomainError(f"gate target {target} and controls {controls} must be"
                               f" distinct wires in range({n})")
-    complex_core = any(isinstance(g, ControlledUnitary) and np.iscomplexobj(g.core)
-                       for g in gates)
+    complex_core = any(not isinstance(g, (ControlledRotation, ControlledFlip))
+                       and np.iscomplexobj(g.core) for g in gates)
     out = np.array(states, dtype=complex if complex_core else float)
     if out.shape[:1] != (2**n,):
         raise DomainError(f"states must have 2**{n} = {2**n} rows, got shape {out.shape}")

@@ -1,16 +1,109 @@
 """Reference computations the tests compare the library against.
 
-No command, demo or benchmark needs them, so they live with the tests.
+No command, demo or benchmark needs them, so they live with the tests.  Two
+are whole routes:
+
+- the dense SRM channel, ``conditional_probabilities`` and
+  ``mutual_information`` on the principal Gram root, which every closed
+  form and fast path is checked against;
+- the Givens decoder, ``decoder_network``, which composes the library's
+  Gram-Schmidt completion, two-level factorization and gate compiler, and
+  its exact one-control rewrite ``expand_network`` with the complex gate
+  type ``ControlledUnitary``.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from srmchannel import binary_channel as bc
 from srmchannel import cavityqed as cq
 from srmchannel import codebook as cb
-from srmchannel import sqrm, sweep
+from srmchannel import sweep
 from srmchannel import synthesis as syn
 from srmchannel.exceptions import ConsistencyError, DomainError
+
+# Square root of sigma_x, symmetric so its adjoint is its conjugate.
+_SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+_SQRT_X.flags.writeable = False
+
+
+class ControlledUnitary(NamedTuple):
+    """Generic controlled 2x2 core; simulatable but not text-serializable."""
+
+    controls: tuple
+    target: int
+    core: object
+
+
+def conditional_probabilities(x):
+    """P(j|i) = x_ji^2: probability of decoding output j given codeword i."""
+    x = np.asarray(x, dtype=float)
+    p = (x**2).T
+    sums = p.sum(axis=1)
+    if not np.max(np.abs(sums - 1.0)) <= 1e-8:
+        raise ConsistencyError(
+            f"conditional probabilities do not normalize: row sums {sums}"
+        )
+    return p
+
+
+def mutual_information(p):
+    """Mutual information of a discrete channel with equiprobable inputs, in bits.
+
+    ``p[i, j]`` is the conditional probability of output j given input i.
+    Zero-probability terms follow the 0*log(0) = 0 convention.
+    """
+    p = np.asarray(p, dtype=float)
+    out = p.mean(axis=0)
+    info = 0.0
+    for row in p:
+        mask = row > 0.0
+        info += np.sum(row[mask] * np.log2(row[mask] / out[mask]))
+    return float(info / p.shape[0])
+
+
+def decoder_network(codebook, kappa):
+    """Full gate network for the decoding unitary V.
+
+    Returns ``(v, d, factors, gates)``.  Gates apply left to right; since
+    V = D T_1 ... T_K acts with T_K first, the factors are compiled in
+    reverse order into one network with one X frame.  D = I for the
+    even-weight code: V^T = L^(x n) P R with det L > 0 (L = [plus | minus]),
+    P the even-weight-first word order (an even permutation), and R the
+    inverse Gram root and Gram-Schmidt normalizers (block triangular, det R > 0).
+    """
+    v = syn.gram_schmidt_completion(syn.srm_vectors(codebook, kappa), codebook, kappa).T
+    d, factors = syn.two_level_decompose(v)
+    if np.any(d < 0):
+        raise ConsistencyError("decoding unitary has determinant -1; no sign gate is compiled")
+    return v, d, factors, syn.factor_to_gates(factors[::-1], codebook.n)
+
+
+def expand_network(gates):
+    """Rewrite each doubly controlled rotation or flip as C_c2(W), CX(c1 -> c2),
+    C_c2(W^dagger), CX(c1 -> c2), C_c1(W) with W * W = core (Barenco et al.,
+    PRA 52, 3457, Lemma 6.1).  W is exact: R_y(theta/2) for a rotation by
+    theta, and the square root of NOT for a flip, which makes each C(W) the
+    two-bit gate of Sleator and Weinfurter (PRL 74, 4087)."""
+    out = []
+    for g in gates:
+        if not isinstance(g, (syn.ControlledRotation, syn.ControlledFlip)) or len(g.controls) != 2:
+            out.append(g)
+            continue
+        (c1, c2), t = g.controls, g.target
+        if isinstance(g, syn.ControlledRotation):
+            half = g.angle / 2.0
+            w, w_dag, last = (syn.ControlledRotation((c2,), t, half),
+                              syn.ControlledRotation((c2,), t, -half),
+                              syn.ControlledRotation((c1,), t, half))
+        else:
+            w, w_dag, last = (ControlledUnitary((c2,), t, _SQRT_X),
+                              ControlledUnitary((c2,), t, _SQRT_X.conj()),
+                              ControlledUnitary((c1,), t, _SQRT_X))
+        cx = syn.ControlledFlip((c1,), c2)
+        out += [w, cx, w_dag, cx, last]
+    return out
 
 
 def product_decoding_information(n, kappa):
@@ -22,7 +115,7 @@ def product_decoding_information(n, kappa):
     pn = np.array([[1.0]])
     for _ in range(n):
         pn = np.kron(pn, p1)
-    return sqrm.mutual_information(pn)
+    return mutual_information(pn)
 
 
 def holevo_limit_dense(kappa):
@@ -159,7 +252,7 @@ def simulate_network_row_pairs(gates, n, states=None):
     bit in the frame, and every other gate, controlled flips included, mixes
     the row pairs its controls select with its core.  ``apply_network`` and
     ``simulate_network`` must agree with it bit for bit."""
-    complex_core = any(isinstance(g, syn.ControlledUnitary) and np.iscomplexobj(g.core)
+    complex_core = any(isinstance(g, ControlledUnitary) and np.iscomplexobj(g.core)
                        for g in gates)
     out = np.array(np.eye(2**n) if states is None else states,
                    dtype=complex if complex_core else float)

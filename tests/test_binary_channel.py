@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import holevo_limit_dense, optimal_measurement
+from oracles import holevo_limit_dense, mutual_information, optimal_measurement
 from srmchannel import binary_channel as bc
 from srmchannel.exceptions import DomainError
 
@@ -93,8 +93,6 @@ def test_optimal_measurement_degenerate():
 def test_capacity_equals_induced_mutual_information():
     # C1 from the closed form must match Eq-style mutual information of the
     # measured channel with equiprobable inputs.
-    from srmchannel.sqrm import mutual_information
-
     for kappa in np.linspace(0.0, 0.99, 100):
         plus, minus = bc.letter_states(kappa)
         w1, w2 = optimal_measurement(kappa)

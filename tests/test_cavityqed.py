@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ControlledUnitary,
+    decoder_network,
     encoder_rotation,
+    expand_network,
     local_class_fidelity_two_frames,
     optimal_measurement,
     sw_gate_sequence_embedded,
@@ -281,10 +284,10 @@ def test_decoder_network_gates_replaceable_by_sw_block(solved):
     # a controlled square root of NOT, three per doubly controlled flip, and
     # matches the pulse-sequence block's invariants
     block, _ = cq.sw_gate_sequence(solved["params"])
-    _, _, _, gates = syn.decoder_network(cb.even_weight_codebook(3), 0.8)
+    _, _, _, gates = decoder_network(cb.even_weight_codebook(3), 0.8)
     toffolis = sum(isinstance(g, syn.ControlledFlip) and len(g.controls) == 2 for g in gates)
-    expanded = syn.expand_network(gates)
-    cores = [g for g in expanded if isinstance(g, syn.ControlledUnitary)]
+    expanded = expand_network(gates)
+    cores = [g for g in expanded if isinstance(g, ControlledUnitary)]
     assert len(cores) == 3 * toffolis == 60
     for gate in cores:
         assert len(gate.controls) == 1

@@ -10,7 +10,7 @@ from srmchannel import codebook as cb
 from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, ResourceError
 
-from oracles import average_error_probability
+from oracles import average_error_probability, conditional_probabilities, mutual_information
 
 mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
@@ -86,8 +86,8 @@ def test_even_weight_summary_exact_at_both_ends(n):
 def test_three_routes_agree(n, kappa):
     book = cb.even_weight_codebook(n)
     x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
-    p = sqrm.conditional_probabilities(x)
-    dense = (sqrm.mutual_information(p), average_error_probability(x))
+    p = conditional_probabilities(x)
+    dense = (mutual_information(p), average_error_probability(x))
     fast = sqrm.fast_srm_summary(book, kappa)
     closed = sqrm.even_weight_summary(n, kappa)
     assert np.allclose(dense, fast, rtol=0.0, atol=1e-10)
@@ -99,7 +99,7 @@ def test_three_routes_agree(n, kappa):
 @given(n=st.integers(min_value=2, max_value=8), kappa=st.floats(min_value=0.0, max_value=1.0))
 def test_srm_channel_rows_sum_to_one(n, kappa):
     book = cb.even_weight_codebook(n)
-    p = sqrm.conditional_probabilities(sqrm.principal_sqrt(cb.gram_matrix(book, kappa)))
+    p = conditional_probabilities(sqrm.principal_sqrt(cb.gram_matrix(book, kappa)))
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
 

