@@ -22,10 +22,11 @@ command runs them.  They stay here only because per-layer benchmark metrics
 name them, until those metrics name stages; the tests compose them into
 the reference decoder.
 
-Every gate is a 2x2 core on a target wire under a set of control wires.  One
-simulator runs every network on a view of the state matrix with one axis per
-wire: an uncontrolled flip only changes which index of its axis holds each
-value, a controlled flip swaps two views, and the other cores mix them.
+A network is built from two gate types, a rotation R_y(angle) and a flip
+sigma_x, each on a target wire under a set of control wires.  One simulator
+runs every network on a view of the state matrix with one axis per wire: an
+uncontrolled flip only changes which index of its axis holds each value, a
+controlled flip swaps two views, and a rotation mixes them.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
@@ -51,7 +52,6 @@ __all__ = [
     "apply_network",
     "simulate_network",
     "network_to_text",
-    "ry_matrix",
 ]
 
 # Widest network synthesized or simulated.  The completed basis behind v.txt
@@ -62,15 +62,6 @@ __all__ = [
 MAX_WIRES = 9
 
 _OMIT_BELOW = 1e-12
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SIGMA_X.flags.writeable = False  # shared as every ControlledFlip.core
-
-
-def ry_matrix(theta):
-    """R_y(theta) = exp(-i theta sigma_y / 2); real for real theta."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])
 
 
 class TwoLevelFactor(NamedTuple):
@@ -88,17 +79,12 @@ class ControlledRotation(NamedTuple):
     target: int
     angle: float
 
-    @property
-    def core(self):
-        return ry_matrix(self.angle)
-
 
 class ControlledFlip(NamedTuple):
     """sigma_x on ``target`` when every wire in ``controls`` holds 1."""
 
     controls: tuple
     target: int
-    core = _SIGMA_X
 
 
 # One uncontrolled flip per wire and the controls _OTHERS[n][w] of a fully controlled
@@ -317,20 +303,20 @@ def apply_network(gates, states, n):
     a wire's logical value v sits at index v ^ frame[w] on its axis, and the
     axes still flipped are reversed at the end.  Every other gate indexes its
     controls at logical 1 and its target at logical 0 and 1, which gives two
-    views of the rows it acts on: a controlled flip swaps them, and any other
-    core mixes them in place.  The result is real unless the core of some
-    gate other than a ControlledRotation or ControlledFlip is complex.
-    Gates off the wires and ``states`` without 2**n rows raise DomainError
-    before any gate is applied.
+    views of the rows it acts on: a controlled flip swaps them, and a
+    rotation R_y(angle) mixes them in place.  The result is real.  Gates of
+    any other type, gates off the wires and ``states`` without 2**n rows
+    raise DomainError before any gate is applied.
     """
     _check_wires(n, "network simulation")
-    for controls, target in dict.fromkeys((g.controls, g.target) for g in gates):
+    for kind, controls, target in dict.fromkeys((type(g), g.controls, g.target) for g in gates):
+        if not issubclass(kind, (ControlledRotation, ControlledFlip)):
+            raise DomainError(f"{kind.__name__} is not a gate type the simulator runs;"
+                              " only ControlledRotation and ControlledFlip are")
         if not 0 <= target < n or not all(0 <= c < n for c in controls) or target in controls:
             raise DomainError(f"gate target {target} and controls {controls} must be"
                               f" distinct wires in range({n})")
-    complex_core = any(not isinstance(g, (ControlledRotation, ControlledFlip))
-                       and np.iscomplexobj(g.core) for g in gates)
-    out = np.array(states, dtype=complex if complex_core else float)
+    out = np.array(states, dtype=float)
     if out.shape[:1] != (2**n,):
         raise DomainError(f"states must have 2**{n} = {2**n} rows, got shape {out.shape}")
     wires = out.reshape((2,) * n + out.shape[1:])
@@ -349,8 +335,8 @@ def apply_network(gates, states, n):
         if isinstance(g, ControlledFlip):
             a[...], b[...] = b.copy(), a.copy()
         else:
-            u = np.asarray(g.core)
-            a[...], b[...] = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
+            c, s = np.cos(g.angle / 2), np.sin(g.angle / 2)
+            a[...], b[...] = c * a - s * b, s * a + c * b
     flipped = [w for w in range(n) if frame[w]]
     return np.ascontiguousarray(np.flip(wires, flipped)).reshape(out.shape)
 

@@ -10,6 +10,13 @@ are whole routes:
   Gram-Schmidt completion, two-level factorization and gate compiler, and
   its exact one-control rewrite ``expand_network`` with the complex gate
   type ``ControlledUnitary``.
+
+The 2x2 matrix of each gate is defined here alone, by ``gate_core``:
+R_y(angle) (``ry_matrix``) for a ``ControlledRotation``, sigma_x for a
+``ControlledFlip`` and its own core for a ``ControlledUnitary``.  The
+row-pair simulator ``simulate_network_row_pairs`` runs every gate through
+it, so it is the only route for networks with complex cores, which the
+library's simulator refuses.
 """
 
 from typing import NamedTuple
@@ -26,14 +33,32 @@ from srmchannel.exceptions import ConsistencyError, DomainError
 # Square root of sigma_x, symmetric so its adjoint is its conjugate.
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _SQRT_X.flags.writeable = False
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SIGMA_X.flags.writeable = False
 
 
 class ControlledUnitary(NamedTuple):
-    """Generic controlled 2x2 core; simulatable but not text-serializable."""
+    """Generic controlled 2x2 core; neither simulated nor serialized by the
+    library, only by ``simulate_network_row_pairs``."""
 
     controls: tuple
     target: int
     core: object
+
+
+def ry_matrix(theta):
+    """R_y(theta) = exp(-i theta sigma_y / 2); real for real theta."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]])
+
+
+def gate_core(g):
+    """The 2x2 matrix a gate applies to its target when its controls hold 1."""
+    if isinstance(g, syn.ControlledRotation):
+        return ry_matrix(g.angle)
+    if isinstance(g, syn.ControlledFlip):
+        return _SIGMA_X
+    return np.asarray(g.core)
 
 
 def conditional_probabilities(x):
@@ -85,7 +110,8 @@ def expand_network(gates):
     C_c2(W^dagger), CX(c1 -> c2), C_c1(W) with W * W = core (Barenco et al.,
     PRA 52, 3457, Lemma 6.1).  W is exact: R_y(theta/2) for a rotation by
     theta, and the square root of NOT for a flip, which makes each C(W) the
-    two-bit gate of Sleator and Weinfurter (PRL 74, 4087)."""
+    two-bit gate of Sleator and Weinfurter (PRL 74, 4087); W * W is checked
+    against the core it replaces."""
     out = []
     for g in gates:
         if not isinstance(g, (syn.ControlledRotation, syn.ControlledFlip)) or len(g.controls) != 2:
@@ -101,6 +127,9 @@ def expand_network(gates):
             w, w_dag, last = (ControlledUnitary((c2,), t, _SQRT_X),
                               ControlledUnitary((c2,), t, _SQRT_X.conj()),
                               ControlledUnitary((c1,), t, _SQRT_X))
+        root = gate_core(w)
+        if not np.max(np.abs(root @ root - gate_core(g))) < 1e-15:
+            raise ConsistencyError(f"the two-bit root does not square to the core of {g!r}")
         cx = syn.ControlledFlip((c1,), c2)
         out += [w, cx, w_dag, cx, last]
     return out
@@ -250,10 +279,12 @@ def simulate_network_row_pairs(gates, n, states=None):
     identity, which gives the unitary) by the row-pair route: row r of the
     result is kept at row r ^ frame, an uncontrolled flip toggles its target
     bit in the frame, and every other gate, controlled flips included, mixes
-    the row pairs its controls select with its core.  ``apply_network`` and
-    ``simulate_network`` must agree with it bit for bit."""
-    complex_core = any(isinstance(g, ControlledUnitary) and np.iscomplexobj(g.core)
-                       for g in gates)
+    the row pairs its controls select with its ``gate_core``.  The result is
+    complex when some core is.  On every network of rotations and flips
+    ``apply_network`` and ``simulate_network`` must agree with it bit for
+    bit."""
+    complex_core = any(np.iscomplexobj(gate_core(g)) for g in gates
+                       if isinstance(g, ControlledUnitary))
     out = np.array(np.eye(2**n) if states is None else states,
                    dtype=complex if complex_core else float)
     index = np.arange(2**n)
@@ -266,7 +297,7 @@ def simulate_network_row_pairs(gates, n, states=None):
         need = sum(1 << (n - 1 - c) for c in g.controls)
         lo = index[(index & (tbit | need)) == need] ^ frame
         hi = lo ^ tbit
-        u = np.asarray(g.core)
+        u = gate_core(g)
         a, b = out[lo], out[hi]
         out[lo] = u[0, 0] * a + u[0, 1] * b
         out[hi] = u[1, 0] * a + u[1, 1] * b

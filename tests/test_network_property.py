@@ -1,17 +1,21 @@
-"""Property test: the simulator against dense gate matrices.
+"""Property test: the simulators against dense gate matrices.
 
-Each gate ``(controls, target, core)`` is rebuilt here as
-I - P + P (x) core, where P projects the control wires onto 1, from
+Each gate is rebuilt here as I - P + P (x) core, with the core from
+``oracles.gate_core`` and P the projector of the control wires onto 1, from
 Kronecker products of one-wire factors; the network unitary is the product
-of those matrices.  The simulator must also match the row-pair route of
-``oracles.simulate_network_row_pairs`` bit for bit.
+of those matrices.  The row-pair route of
+``oracles.simulate_network_row_pairs`` must match that product on every
+network, complex cores included.  The library's simulator must match the
+row-pair route bit for bit on the rotations and flips of every network, and
+refuse a network that holds a ``ControlledUnitary``.
 """
 
 import numpy as np
 import pytest
 
-from oracles import ControlledUnitary, simulate_network_row_pairs
+from oracles import ControlledUnitary, gate_core, ry_matrix, simulate_network_row_pairs
 from srmchannel import synthesis as syn
+from srmchannel.exceptions import DomainError
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -28,22 +32,37 @@ def _kron(factors):
 
 
 def _dense(gate, n):
-    core = np.asarray(gate.core)
+    core = gate_core(gate)
     eye = np.eye(2)
     proj = [_P1 if w in gate.controls else eye for w in range(n)]
     applied = [core if w == gate.target else proj[w] for w in range(n)]
     return np.eye(2**n) - _kron(proj) + _kron(applied)
 
 
-def _assert_bit_identical_to_row_pairs(u, gates, n):
-    ref = simulate_network_row_pairs(gates, n)
-    assert u.dtype == ref.dtype
+def _dense_product(gates, n):
+    ref = np.eye(2**n)
+    for g in gates:
+        ref = _dense(g, n) @ ref
+    return ref
+
+
+def _assert_library_bit_identical_to_row_pairs(gates, n):
+    """The library's unitary of the network's rotations and flips (the whole
+    network when it holds no ControlledUnitary) equals the row-pair route's
+    bit for bit, and the whole network is refused when it holds one."""
+    kept = [g for g in gates if not isinstance(g, ControlledUnitary)]
+    u = syn.simulate_network(kept, n)
+    ref = simulate_network_row_pairs(kept, n)
+    assert u.dtype == ref.dtype == float
     assert np.array_equal(u, ref)
+    if len(kept) < len(gates):
+        with pytest.raises(DomainError, match="ControlledUnitary"):
+            syn.simulate_network(gates, n)
 
 
 def _unitary_core(alpha, beta, gamma, delta):
     rz_beta, rz_delta = (np.diag(np.exp([-0.5j * t, 0.5j * t])) for t in (beta, delta))
-    return np.exp(1j * alpha) * rz_beta @ syn.ry_matrix(gamma) @ rz_delta
+    return np.exp(1j * alpha) * rz_beta @ ry_matrix(gamma) @ rz_delta
 
 
 def _draw_gate(draw, n, target):
@@ -73,15 +92,12 @@ def _networks(draw):
 @given(_networks())
 def test_simulator_matches_dense_gate_product(network):
     n, gates = network
-    u = syn.simulate_network(gates, n)
-    ref = np.eye(2**n)
-    for g in gates:
-        ref = _dense(g, n) @ ref
-    assert np.max(np.abs(u - ref)) < 1e-12
-    _assert_bit_identical_to_row_pairs(u, gates, n)
+    u = simulate_network_row_pairs(gates, n)
+    assert np.max(np.abs(u - _dense_product(gates, n))) < 1e-12
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-12
     if not any(isinstance(g, ControlledUnitary) for g in gates):
         assert not np.iscomplexobj(u)
+    _assert_library_bit_identical_to_row_pairs(gates, n)
 
 
 @st.composite
@@ -103,12 +119,9 @@ def _flip_heavy_networks(draw):
 @given(_flip_heavy_networks())
 def test_simulator_with_uncontrolled_flips_matches_dense_product(network):
     n, gates = network
-    u = syn.simulate_network(gates, n)
-    ref = np.eye(2**n)
-    for g in gates:
-        ref = _dense(g, n) @ ref
-    assert np.max(np.abs(u - ref)) < 1e-12
-    _assert_bit_identical_to_row_pairs(u, gates, n)
+    u = simulate_network_row_pairs(gates, n)
+    assert np.max(np.abs(u - _dense_product(gates, n))) < 1e-12
+    _assert_library_bit_identical_to_row_pairs(gates, n)
 
 
 def test_uncontrolled_flips_give_xor_permutation():

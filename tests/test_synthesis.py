@@ -10,8 +10,10 @@ from oracles import (
     conditional_probabilities,
     decoder_network,
     expand_network,
+    gate_core,
     gram_schmidt_completion_per_vector,
     read_network,
+    ry_matrix,
     simulate_network_row_pairs,
 )
 from srmchannel import codebook as cb
@@ -275,22 +277,25 @@ def test_expand_network_doubly_controlled_rotation(theta):
     u = syn.simulate_network(net, 3)
     assert u.dtype == float
     ref = np.eye(8)
-    ref[6:8, 6:8] = syn.ry_matrix(theta)
+    ref[6:8, 6:8] = ry_matrix(theta)
     assert np.max(np.abs(u - ref)) < 1e-14
 
 
 def test_expand_network_toffoli():
     sqrt_x = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-    net = expand_network([syn.ControlledFlip((0, 1), 2)])
+    toffoli_gate = syn.ControlledFlip((0, 1), 2)
+    net = expand_network([toffoli_gate])
     assert [(type(g), g.controls, g.target) for g in net] == [
         (ControlledUnitary, (1,), 2), (syn.ControlledFlip, (0,), 1),
         (ControlledUnitary, (1,), 2), (syn.ControlledFlip, (0,), 1),
         (ControlledUnitary, (0,), 2)]
     for gate, core in zip(net[::2], (sqrt_x, sqrt_x.conj().T, sqrt_x)):
-        assert np.array_equal(gate.core, core)
+        assert np.array_equal(gate_core(gate), core)
     toffoli = np.eye(8)
     toffoli[[6, 7]] = toffoli[[7, 6]]
-    assert np.max(np.abs(syn.simulate_network(net, 3) - toffoli)) < 1e-14
+    u = simulate_network_row_pairs(net, 3)
+    assert np.max(np.abs(u - toffoli)) < 1e-14
+    assert np.max(np.abs(u - syn.simulate_network([toffoli_gate], 3))) < 1e-14
 
 
 def test_expand_network_matches_original(block3):
@@ -300,7 +305,8 @@ def test_expand_network_matches_original(block3):
         not (hasattr(g, "controls") and len(g.controls) > 1) or len(g.controls) == 1
         for g in expanded
     )
-    u = syn.simulate_network(expanded, 3)
+    u = simulate_network_row_pairs(expanded, 3)
+    assert np.max(np.abs(u - syn.simulate_network(gates, 3))) < 1e-14
     assert np.max(np.abs(np.abs(np.trace(u.conj().T @ v)) - 8.0)) < 1e-8
 
 
@@ -309,7 +315,7 @@ def test_expand_network_matches_decoder_over_kappa(block3):
         _, _, _, gates = decoder_network(block3, kappa)
         expanded = expand_network(gates)
         assert max(len(g.controls) for g in expanded) == 1
-        u = syn.simulate_network(expanded, 3)
+        u = simulate_network_row_pairs(expanded, 3)
         assert np.max(np.abs(u - syn.simulate_network(gates, 3))) < 1e-14, kappa
 
 
@@ -351,13 +357,26 @@ def test_simulator_bit_identical_to_row_pair_route(n, kappa):
     assert np.array_equal(u, ref)
 
 
-def test_expanded_network_bit_identical_to_row_pair_route(block3):
+def test_expanded_network_on_row_pair_route_matches_simulator(block3):
+    # the library refuses the expanded network's complex cores, so the row-pair
+    # route runs it, and the library runs the network it expands
     _, _, _, gates = decoder_network(block3, 0.8)
-    expanded = expand_network(gates)
-    u = syn.simulate_network(expanded, 3)
-    ref = simulate_network_row_pairs(expanded, 3)
-    assert u.dtype == ref.dtype == complex
-    assert np.array_equal(u, ref)
+    u = syn.simulate_network(gates, 3)
+    assert np.array_equal(u, simulate_network_row_pairs(gates, 3))
+    ref = simulate_network_row_pairs(expand_network(gates), 3)
+    assert ref.dtype == complex
+    assert np.max(np.abs(u - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("run", [
+    lambda gates: syn.apply_network(gates, np.eye(4), 2),
+    lambda gates: syn.simulate_network(gates, 2),
+], ids=["apply_network", "simulate_network"])
+def test_simulator_refuses_gates_it_does_not_define(run):
+    # an oracle gate after one the simulator runs: refused before any is applied
+    gates = [syn.ControlledRotation((), 0, 0.3), ControlledUnitary((0,), 1, np.eye(2) * 1j)]
+    with pytest.raises(DomainError, match="ControlledUnitary"):
+        run(gates)
 
 
 @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
