@@ -228,6 +228,9 @@ def solve_sequence_params(g, delta, nu):
     tau = tau_prime + t + g_eff * t / nu
     if not np.all(np.isfinite((t, tau_prime, tau))):
         raise DomainError(f"pulse durations overflow: t = {t}, tau' = {tau_prime}, tau = {tau}")
+    # tau > t and |g_eff t| = pi/4, so every pulse phase is finite with nu tau
+    if not np.isfinite(nu * tau):
+        raise DomainError(f"pulse phase nu * tau overflows for nu = {nu}, tau = {tau}")
     params = PulseParams(g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime, t=t)
     block, leakage = sw_gate_sequence(params)
     return {

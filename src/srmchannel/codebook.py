@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary_channel import letter_states
+from .binary_channel import _check_kappa, letter_states
 from .exceptions import DomainError, ResourceError
 
 __all__ = [
@@ -95,7 +95,7 @@ def codeword_vector(word, kappa):
 
 def gram_matrix(codebook, kappa):
     """Gram matrix via the kappa**(Hamming distance) identity, O(M^2)."""
-    kappa = float(kappa)
+    kappa = float(_check_kappa(kappa))
     ints = np.array([int(w, 2) for w in codebook.words], dtype=np.uint64)
     distances = np.bitwise_count(ints[:, None] ^ ints[None, :])
     return kappa ** distances.astype(float)

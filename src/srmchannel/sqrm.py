@@ -46,13 +46,16 @@ def principal_sqrt(gram):
     if not np.allclose(gram, gram.T, atol=1e-12):
         raise DomainError("gram matrix must be symmetric")
     eigvals, eigvecs = np.linalg.eigh(gram)
-    floor = -_EIG_TOL * max(eigvals[-1], 1.0)
-    if eigvals[0] < floor:
+    return (eigvecs * np.sqrt(_clip_psd(eigvals))) @ eigvecs.T
+
+
+def _clip_psd(eigvals):
+    """Gram eigenvalues clipped at zero; DomainError for a genuine PSD violation."""
+    if eigvals.min() < -_EIG_TOL * max(eigvals.max(), 1.0):
         raise DomainError(
-            f"gram matrix is not positive semidefinite: min eigenvalue {eigvals[0]}"
+            f"gram matrix is not positive semidefinite: min eigenvalue {eigvals.min()}"
         )
-    eigvals = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
+    return np.clip(eigvals, 0.0, None)
 
 
 def _closed_form_x(kappa):
@@ -105,7 +108,7 @@ def xor_fast_path(codebook, kappa):
     transform of its indicator takes only the values 0 and |C|.  Returns
     ``(eigenvalues, first_row)`` with the row indexed in codebook word order.
     """
-    kappa = float(kappa)
+    kappa = float(_check_kappa(kappa))
     cb_mod._check_block_length(codebook.n)
     size, m = 2**codebook.n, len(codebook)
     ints = np.array([int(w, 2) for w in codebook.words])
@@ -115,12 +118,7 @@ def xor_fast_path(codebook, kappa):
     if np.any((character_sums != 0.0) & (character_sums != m)):
         raise DomainError("codebook is not a group under XOR")
     spectrum = fwht(member * kappa ** np.bitwise_count(np.arange(size)))
-    floor = -_EIG_TOL * max(spectrum.max(), 1.0)
-    if spectrum.min() < floor:
-        raise DomainError(
-            f"gram matrix is not positive semidefinite: min eigenvalue {spectrum.min()}"
-        )
-    root = fwht(np.sqrt(np.clip(spectrum, 0.0, None))) / size
+    root = fwht(np.sqrt(_clip_psd(spectrum))) / size
     return np.sort(spectrum)[:: size // m], root[ints[0] ^ ints]
 
 

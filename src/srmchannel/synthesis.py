@@ -24,9 +24,8 @@ the reference decoder.
 
 A network is built from two gate types, a rotation R_y(angle) and a flip
 sigma_x, each on a target wire under a set of control wires.  One simulator
-runs every network on a view of the state matrix with one axis per wire: an
-uncontrolled flip only changes which index of its axis holds each value, a
-controlled flip swaps two views, and a rotation mixes them.
+runs every network on a view of the state matrix with one axis per wire: a
+flip swaps two views and a rotation mixes them.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so
 basis state ``|b_0 b_1 ... b_{n-1}>`` has index ``sum b_k 2^(n-1-k)``.
@@ -37,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codebook as cb_mod, sqrm
+from .binary_channel import _check_kappa
 from .exceptions import ConsistencyError, DomainError, ResourceError
 
 __all__ = [
@@ -85,13 +85,6 @@ class ControlledFlip(NamedTuple):
 
     controls: tuple
     target: int
-
-
-# One uncontrolled flip per wire and the controls _OTHERS[n][w] of a fully controlled
-# gate on wire w of n, shared by every compiled network (all are immutable).
-_FLIPS = tuple(ControlledFlip(controls=(), target=w) for w in range(MAX_WIRES))
-_OTHERS = tuple(tuple(tuple(c for c in range(n) if c != w) for w in range(n))
-                for n in range(MAX_WIRES + 1))
 
 
 def _check_wires(n, what):
@@ -204,7 +197,7 @@ def _x_run(frame, want, n):
     change, run = frame ^ want, []
     while change:
         w = n - change.bit_length()  # the lowest wire left to flip
-        run.append(_FLIPS[w])
+        run.append(ControlledFlip((), w))
         change ^= 1 << (n - 1 - w)
     return run
 
@@ -243,8 +236,9 @@ def factor_to_gates(factors, n):
             want = ~state & ((1 << n) - 1) & ~tbit | keep
             gates += _x_run(frame, want, n)
             frame = want
-            gates.append(ControlledRotation(_OTHERS[n][w], w, angle) if rotation
-                         else ControlledFlip(_OTHERS[n][w], w))
+            others = tuple(c for c in range(n) if c != w)
+            gates.append(ControlledRotation(others, w, angle) if rotation
+                         else ControlledFlip(others, w))
     return gates + _x_run(frame, 0, n)
 
 
@@ -272,8 +266,7 @@ def fourier_network(n, kappa):
     if n < 2:
         raise DomainError(f"block length must be >= 2, got {n}")
     _check_wires(n, "gate compilation")
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError(f"kappa must lie in [0, 1], got {kappa}")
+    kappa = float(_check_kappa(kappa))
     pivot, half = n - 1, 2 ** (n - 1)
     t = 0.5 * np.arccos(kappa)
     w = np.arange(n + 1)
@@ -289,7 +282,7 @@ def fourier_network(n, kappa):
         if code != following:  # one bit, that of data wire pivot - bit_length
             gates.append(ControlledFlip((pivot - (code ^ following).bit_length(),), pivot))
     for k in range(pivot):
-        gates += [ControlledRotation((), k, np.pi / 2), _FLIPS[k]]
+        gates += [ControlledRotation((), k, np.pi / 2), ControlledFlip((), k)]
     for k in range(n - 2, -1, -1):
         gates += [ControlledFlip((k,), k + 1), ControlledFlip((k + 1,), k)]
     return gates
@@ -298,12 +291,9 @@ def fourier_network(n, kappa):
 def apply_network(gates, states, n):
     """The gate list applied left to right to the columns of ``states``.
 
-    The gates act on a view of the result with one axis per wire.  An
-    uncontrolled flip does no arithmetic: it toggles its wire in ``frame``, so
-    a wire's logical value v sits at index v ^ frame[w] on its axis, and the
-    axes still flipped are reversed at the end.  Every other gate indexes its
-    controls at logical 1 and its target at logical 0 and 1, which gives two
-    views of the rows it acts on: a controlled flip swaps them, and a
+    The gates act on a view of a C-ordered copy with one axis per wire.
+    Each gate indexes its controls at 1 and its target at 0 and 1, which
+    gives two views of the rows it acts on: a flip swaps them, and a
     rotation R_y(angle) mixes them in place.  The result is real.  Gates of
     any other type, gates off the wires and ``states`` without 2**n rows
     raise DomainError before any gate is applied.
@@ -316,29 +306,24 @@ def apply_network(gates, states, n):
         if not 0 <= target < n or not all(0 <= c < n for c in controls) or target in controls:
             raise DomainError(f"gate target {target} and controls {controls} must be"
                               f" distinct wires in range({n})")
-    out = np.array(states, dtype=float)
+    out = np.array(states, dtype=float, order="C")
     if out.shape[:1] != (2**n,):
         raise DomainError(f"states must have 2**{n} = {2**n} rows, got shape {out.shape}")
     wires = out.reshape((2,) * n + out.shape[1:])
-    frame = [0] * n
     for g in gates:
-        if not g.controls and isinstance(g, ControlledFlip):
-            frame[g.target] ^= 1
-            continue
         index = [slice(None)] * n + [...]  # with the Ellipsis a 0-d result is a view too
         for c in g.controls:
-            index[c] = 1 ^ frame[c]
-        index[g.target] = frame[g.target]
+            index[c] = 1
+        index[g.target] = 0
         a = wires[tuple(index)]
-        index[g.target] ^= 1
+        index[g.target] = 1
         b = wires[tuple(index)]
         if isinstance(g, ControlledFlip):
             a[...], b[...] = b.copy(), a.copy()
         else:
             c, s = np.cos(g.angle / 2), np.sin(g.angle / 2)
             a[...], b[...] = c * a - s * b, s * a + c * b
-    flipped = [w for w in range(n) if frame[w]]
-    return np.ascontiguousarray(np.flip(wires, flipped)).reshape(out.shape)
+    return out
 
 
 def simulate_network(gates, n):

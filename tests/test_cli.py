@@ -539,10 +539,14 @@ def test_threshold_nan_tolerance_is_a_domain_error(capsys):
         (("--g", "1e-160"), "overflow"),
         (("--nu", "1e-320"), "overflow"),
         (("--g", "1e200"), "g_eff"),
+        # nu * tau overflows: refused before the sequence is composed
+        (("--delta", "1e308"), "phase"),
+        (("--nu", "1e308"), "phase"),
     ],
 )
 def test_gatecheck_non_finite_or_degenerate_is_a_domain_error(capsys, argv, message):
     status, out, err = _run(capsys, "gatecheck", *argv)
     assert status == 2
     assert out == ""
+    assert len(err.splitlines()) == 1
     assert message in err

@@ -103,7 +103,7 @@ def test_simulator_matches_dense_gate_product(network):
 @st.composite
 def _flip_heavy_networks(draw):
     """About half uncontrolled flips, between controlled rotations, flips and
-    complex cores, so rows are mixed while the simulator's frame is nonzero."""
+    complex cores, so rows are mixed while some wires are flipped."""
     n = draw(st.integers(2, 5))
     gates = []
     for _ in range(draw(st.integers(1, 24))):

@@ -256,3 +256,12 @@ def test_product_decoding_is_additive(n):
     for kappa in (0.3, 0.8):
         info = product_decoding_information(n, kappa)
         assert info == pytest.approx(n * bc.capacity_c1(kappa), abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), -0.5, 1.5], ids=["nan", "negative", "above-1"])
+@pytest.mark.parametrize("route", [cb.gram_matrix, sqrm.xor_fast_path, sqrm.fast_srm_summary],
+                         ids=lambda f: f.__name__)
+def test_overlap_outside_unit_interval_refused(route, kappa):
+    # one overlap rule for every route: NaN or kappa < 0 must not yield 2 bits
+    with pytest.raises(DomainError):
+        route(cb.even_weight_codebook(3), kappa)

@@ -392,18 +392,26 @@ def test_fourier_network_bit_identical_to_row_pair_route(n, kappa):
         assert np.array_equal(out, ref)
 
 
-@pytest.mark.parametrize("network", ["givens", "fourier"])
+@pytest.mark.parametrize("network", ["givens", "fourier", "flips"])
 def test_apply_network_result_independent_of_input_layout(block3, network):
-    # the Givens network clears its X frame, the Fourier one ends with flipped wires
-    gates = (decoder_network(block3, 0.8)[3] if network == "givens"
-             else syn.fourier_network(3, 0.8))
+    # the Givens network clears the wires it flips, the Fourier one ends with
+    # flipped wires, and the uncontrolled flips alone leave wires 0 and 2
+    # flipped: the permutation x -> x ^ 0b101
     states = np.random.default_rng(5).normal(size=(8, 3))
-    ref = simulate_network_row_pairs(gates, 3, states)
+    if network == "flips":
+        gates = [syn.ControlledFlip((), t) for t in (0, 2, 1, 2, 2, 1)]
+        ref = states[np.arange(8) ^ 0b101]
+    else:
+        gates = (decoder_network(block3, 0.8)[3] if network == "givens"
+                 else syn.fourier_network(3, 0.8))
+        ref = simulate_network_row_pairs(gates, 3, states)
     for layout in (states, np.asfortranarray(states)):
         out = syn.apply_network(gates, layout, 3)
         assert out.flags.c_contiguous
         assert np.array_equal(out, ref)
-    assert np.array_equal(syn.apply_network(gates, states[:, 1], 3), ref[:, 1])
+    column = syn.apply_network(gates, states[:, 1], 3)
+    assert column.flags.c_contiguous
+    assert np.array_equal(column, ref[:, 1])
 
 
 def test_factor_to_gates_limited_to_simulated_width():
