@@ -136,15 +136,11 @@ def _cmd_synthesize(args):
 
     if not 0.0 < args.kappa < 1.0:
         raise DomainError("synthesis requires 0 < kappa < 1")
-    if args.n > synthesis.MAX_WIRES:
-        raise ResourceError(
-            f"v.txt holds a 2**n x 2**n basis, so synthesis is limited to"
-            f" {synthesis.MAX_WIRES} wires; got n = {args.n}"
-        )
+    # first, so its width and block-length checks come before any other work
+    gates = synthesis.fourier_network(args.n, args.kappa)
     book = cb_mod.even_weight_codebook(args.n)
     mu = synthesis.srm_vectors(book, args.kappa)
     v = synthesis.gram_schmidt_completion(mu, book, args.kappa).T
-    gates = synthesis.fourier_network(args.n, args.kappa)
     # the network must carry each SRM vector mu_j onto +-|j>
     readout = synthesis.apply_network(gates, mu, args.n)[: len(book)]
     if np.max(np.abs(np.abs(readout) - np.eye(len(book)))) > 1e-9:

@@ -54,11 +54,11 @@ __all__ = [
     "network_to_text",
 ]
 
-# Widest network synthesized or simulated.  The completed basis behind v.txt
-# is 2**n x 2**n: at 9 wires, kappa 0.5, on a 2-core host with one BLAS
-# thread, its Gram-Schmidt takes 0.22-0.31 s, synthesize 0.71-0.90 s, and its
-# text is 5.8 MB.  factor_to_gates on such a basis emits O(4**n n) gates,
-# 0.85 million at 9 wires.
+# Widest network or SRM basis built or simulated.  The completed basis
+# behind v.txt is 2**n x 2**n: at 9 wires, kappa 0.5, on a 2-core host with
+# one BLAS thread, its Gram-Schmidt takes 0.22-0.31 s, synthesize
+# 0.71-0.90 s, and its text is 5.8 MB.  factor_to_gates on such a basis
+# emits O(4**n n) gates, 0.85 million at 9 wires.
 MAX_WIRES = 9
 
 _OMIT_BELOW = 1e-12
@@ -89,11 +89,12 @@ class ControlledFlip(NamedTuple):
 
 def _check_wires(n, what):
     if n > MAX_WIRES:
-        raise ResourceError(f"{what} limited to {MAX_WIRES} wires, got {n}")
+        raise ResourceError(f"{what} limited to {MAX_WIRES} wires (v.txt is 2**n x 2**n), got {n}")
 
 
 def srm_vectors(codebook, kappa):
     """Columns are the SRM vectors mu_j = sum_i (Gamma^{-1/2})_ij S_i."""
+    _check_wires(codebook.n, "SRM vectors")
     gram = cb_mod.gram_matrix(codebook, kappa)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
@@ -125,6 +126,7 @@ def gram_schmidt_completion(mu, codebook, kappa):
     B^T B off the identity by more than 1e-10 raises ``ConsistencyError``.
     """
     n = codebook.n
+    _check_wires(n, "basis completion")
     mu = np.asarray(mu, dtype=float)
     used = set(codebook.words)
     remaining = [w for w in (format(v, f"0{n}b") for v in range(2**n)) if w not in used]

@@ -87,12 +87,14 @@ def _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, n):
     def no_work(*args):
         raise AssertionError("synthesis started")
 
+    monkeypatch.setattr(cli.cb_mod, "even_weight_codebook", no_work)
     monkeypatch.setattr(syn, "srm_vectors", no_work)
     status, _, err = _run(
         capsys, "synthesize", "--n", n, "--kappa", "0.5", "--out", str(tmp_path / "x")
     )
     assert status == 4
     assert "wires" in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "x").exists()
 
 
@@ -103,6 +105,11 @@ def test_synthesize_refuses_wide_network_before_work(tmp_path, capsys, monkeypat
 def test_synthesize_refuses_ten_wires_before_work(tmp_path, capsys, monkeypatch):
     # v.txt is the 2**n x 2**n completed basis: 512 x 512 at n = 9.
     _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "10")
+
+
+def test_synthesize_beyond_block_limit_refused_for_its_width(tmp_path, capsys, monkeypatch):
+    # n = 21 is also past codebook.MAX_BLOCK_LENGTH; the wire limit comes first.
+    _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "21")
 
 
 def test_threshold_tolerance_below_float_resolution_refused_before_work(capsys, monkeypatch):

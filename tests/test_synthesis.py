@@ -414,9 +414,27 @@ def test_apply_network_result_independent_of_input_layout(block3, network):
     assert np.array_equal(column, ref[:, 1])
 
 
-def test_factor_to_gates_limited_to_simulated_width():
-    with pytest.raises(ResourceError):
-        syn.factor_to_gates([syn.TwoLevelFactor(i=0, j=1, gamma=0.1)], syn.MAX_WIRES + 1)
+_WIDE = syn.MAX_WIRES + 1
+_WIDE_BOOK = cb.Codebook(n=_WIDE, words=("0" * _WIDE,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: syn.factor_to_gates([syn.TwoLevelFactor(i=0, j=1, gamma=0.1)], _WIDE),
+    lambda: syn.fourier_network(_WIDE, 0.5),
+    lambda: syn.apply_network([], np.zeros(2**_WIDE), _WIDE),
+    lambda: syn.simulate_network([], _WIDE),
+    lambda: syn.srm_vectors(_WIDE_BOOK, 0.5),
+    lambda: syn.gram_schmidt_completion(np.zeros((2**_WIDE, 1)), _WIDE_BOOK, 0.5),
+], ids=["factor_to_gates", "fourier_network", "apply_network", "simulate_network",
+        "srm_vectors", "gram_schmidt_completion"])
+def test_limited_to_max_wires_before_allocating(monkeypatch, build):
+    def no_allocation(*args):
+        raise AssertionError("a 2**n-sized array was built")
+
+    monkeypatch.setattr(cb, "gram_matrix", no_allocation)
+    monkeypatch.setattr(cb, "codeword_states", no_allocation)
+    with pytest.raises(ResourceError, match=f"limited to {syn.MAX_WIRES} wires"):
+        build()
 
 
 @pytest.mark.parametrize("kappa", [0.5, 0.8])
