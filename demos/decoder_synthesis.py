@@ -59,7 +59,7 @@ print(f"Fourier network: {len(gates)} gates {dict(kinds)}, "
 # Each CX is two controlled square roots of NOT, the two-bit gate whose
 # cavity-QED pulse sequence demos/cavity_gate.py solves.
 
-readout = syn.apply_network(gates, states, n)[:m]
+readout = syn.apply_network(gates, states)[:m]
 p = (readout**2).T  # p[i, j] = P(decode j | sent i)
 print("P(decode j | sent i) through the network:")
 for w, row in zip(book.words, p):

@@ -55,7 +55,7 @@ def letter_states(kappa):
     """
     kappa = float(_check_kappa(kappa))
     plus = np.array([1.0, 0.0])
-    minus = np.array([kappa, np.sqrt(max(0.0, 1.0 - kappa * kappa))])
+    minus = np.array([kappa, np.sqrt(1.0 - kappa * kappa)])
     return plus, minus
 
 
@@ -63,7 +63,7 @@ def crossover_probability(kappa):
     """Crossover probability p = (1 - sqrt(1 - kappa^2)) / 2 of the induced
     binary symmetric channel; also the single-letter minimum error probability."""
     kappa = _check_kappa(kappa)
-    return 0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - kappa * kappa)))
+    return 0.5 * (1.0 - np.sqrt(1.0 - kappa * kappa))
 
 
 def capacity_c1(kappa):

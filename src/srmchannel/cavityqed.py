@@ -218,8 +218,8 @@ def solve_sequence_params(g, delta, nu):
     """
     if not np.all(np.isfinite((g, delta, nu))):
         raise DomainError("g, delta and nu must be finite")
-    if g <= 0 or delta == 0 or nu <= 0:
-        raise DomainError("g and nu must be positive and the detuning delta nonzero")
+    if g <= 0 or nu <= 0:
+        raise DomainError("g and nu must be positive")
     g_eff = _dispersive_rate(g, delta)
     t = np.pi / (4.0 * abs(g_eff))
     tau_prime = 2.0 * np.pi / nu

@@ -32,7 +32,7 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
 
-# Most points a --grid may hold; the paper's figure grids hold 1001.
+# Most rows a --grid may give (points x block lengths); figure grids hold 1001 points.
 MAX_GRID_POINTS = 1_000_000
 
 # One row of the c1 table, 9 significant digits like the sweep CSV.
@@ -55,7 +55,7 @@ def _atomic_write(path, text):
         raise
 
 
-def _parse_grid(spec):
+def _parse_grid(spec, blocks=1):
     try:
         start, end, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
@@ -63,8 +63,9 @@ def _parse_grid(spec):
     if not (math.isfinite(start) and math.isfinite(end) and 0 < step < math.inf) or end < start:
         raise DomainError(f"bad grid spec {spec!r}")
     count = (end - start) / step
-    if count + 1 > MAX_GRID_POINTS:
-        raise ResourceError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    if (count + 1) * blocks > MAX_GRID_POINTS:
+        what = "points" if blocks == 1 else f"rows at {blocks} block lengths"
+        raise ResourceError(f"grid {spec!r} has more than {MAX_GRID_POINTS} {what}")
     count = int(round(count))
     grid = [start + k * step for k in range(count + 1)]
     if grid[-1] > end + 1e-12:
@@ -109,7 +110,7 @@ def _cmd_sweep(args):
         n_list = [int(tok) for tok in args.n.split(",")]
     except ValueError as exc:
         raise DomainError(f"bad --n {args.n!r}, expected comma-separated integers") from exc
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, len(n_list))
     rows = sweep.sweep_table(n_list, grid, codebook_choice=args.codebook)
     if args.json:
         import json
@@ -142,7 +143,7 @@ def _cmd_synthesize(args):
     mu = synthesis.srm_vectors(book, args.kappa)
     v = synthesis.gram_schmidt_completion(mu, book, args.kappa).T
     # the network must carry each SRM vector mu_j onto +-|j>
-    readout = synthesis.apply_network(gates, mu, args.n)[: len(book)]
+    readout = synthesis.apply_network(gates, mu)[: len(book)]
     if np.max(np.abs(np.abs(readout) - np.eye(len(book)))) > 1e-9:
         print("verification failed: gate network does not reproduce the SRM", file=sys.stderr)
         return EXIT_VERIFY

@@ -47,6 +47,8 @@ class Codebook:
 
 
 def _check_block_length(n):
+    if n < 2:
+        raise DomainError(f"block length must be >= 2, got {n}")
     if n > MAX_BLOCK_LENGTH:
         raise ResourceError(
             f"block length {n} exceeds the configured limit {MAX_BLOCK_LENGTH}"
@@ -58,8 +60,6 @@ def even_weight_codebook(n):
 
     This is a linear code of size 2**(n-1) with minimum distance 2.
     """
-    if n < 2:
-        raise DomainError(f"block length must be >= 2, got {n}")
     _check_block_length(n)
     words = tuple(
         format(v, f"0{n}b") for v in range(2**n) if v.bit_count() % 2 == 0

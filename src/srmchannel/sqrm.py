@@ -71,9 +71,8 @@ def i3_closed_form(kappa):
     kappa = float(_check_kappa(kappa))
     xd, xo = _closed_form_x(kappa)
     a, b = xd**2, xo**2
-    info = 2.0
-    if a > 0.0:
-        info += a * np.log2(a)
+    # xd >= 1/2 on [0, 1]; only xo vanishes, at kappa = 0
+    info = 2.0 + a * np.log2(a)
     if b > 0.0:
         info += 3.0 * b * np.log2(b)
     return float(info)
@@ -167,8 +166,6 @@ def even_weight_summary(n, kappa):
     codeword is the same state, the result is set to 0 bits and
     P_e = 1 - 2^(1-n) in place of the sum's rounding.
     """
-    if n < 2:
-        raise DomainError(f"block length must be >= 2, got {n}")
     cb_mod._check_block_length(n)
     kappa = _check_kappa(kappa)
     k = np.arange(n + 1)

@@ -63,8 +63,6 @@ class ThresholdResult(NamedTuple):
 def _check_block(n, codebook_choice):
     if codebook_choice not in ("even", "alt"):
         raise DomainError(f"unknown codebook choice {codebook_choice!r}")
-    if n < 2:
-        raise DomainError(f"block length must be >= 2, got {n}")
     if codebook_choice == "alt" and n != 3:
         raise DomainError("the alternative codebook exists only at block length 3")
     cb_mod._check_block_length(n)

@@ -265,9 +265,8 @@ def fourier_network(n, kappa):
     wire down, so codeword c is read out at row c >> 1,
     its index in the codebook's increasing word order, with wire 0 reading 0.
     """
-    if n < 2:
-        raise DomainError(f"block length must be >= 2, got {n}")
     _check_wires(n, "gate compilation")
+    cb_mod._check_block_length(n)
     kappa = float(_check_kappa(kappa))
     pivot, half = n - 1, 2 ** (n - 1)
     t = 0.5 * np.arccos(kappa)
@@ -290,16 +289,21 @@ def fourier_network(n, kappa):
     return gates
 
 
-def apply_network(gates, states, n):
+def apply_network(gates, states):
     """The gate list applied left to right to the columns of ``states``.
 
-    The gates act on a view of a C-ordered copy with one axis per wire.
-    Each gate indexes its controls at 1 and its target at 0 and 1, which
-    gives two views of the rows it acts on: a flip swaps them, and a
-    rotation R_y(angle) mixes them in place.  The result is real.  Gates of
-    any other type, gates off the wires and ``states`` without 2**n rows
-    raise DomainError before any gate is applied.
+    ``states`` has 2**n rows for n >= 1 wires; the gates act on a view of a
+    C-ordered copy with one axis per wire.  Each gate indexes its controls
+    at 1 and its target at 0 and 1, which gives two views of the rows it
+    acts on: a flip swaps them, and a rotation R_y(angle) mixes them in
+    place.  The result is real.  Any other row count, gates of any other
+    type and gates off the wires raise DomainError before any gate is
+    applied.
     """
+    shape = np.shape(states)
+    n = shape[0].bit_length() - 1 if shape else 0
+    if n < 1 or shape[0] != 2**n:
+        raise DomainError(f"states must have 2**n >= 2 rows, got shape {shape}")
     _check_wires(n, "network simulation")
     for kind, controls, target in dict.fromkeys((type(g), g.controls, g.target) for g in gates):
         if not issubclass(kind, (ControlledRotation, ControlledFlip)):
@@ -309,8 +313,6 @@ def apply_network(gates, states, n):
             raise DomainError(f"gate target {target} and controls {controls} must be"
                               f" distinct wires in range({n})")
     out = np.array(states, dtype=float, order="C")
-    if out.shape[:1] != (2**n,):
-        raise DomainError(f"states must have 2**{n} = {2**n} rows, got shape {out.shape}")
     wires = out.reshape((2,) * n + out.shape[1:])
     for g in gates:
         index = [slice(None)] * n + [...]  # with the Ellipsis a 0-d result is a view too
@@ -331,7 +333,7 @@ def apply_network(gates, states, n):
 def simulate_network(gates, n):
     """Unitary of a gate list: the network applied to the identity."""
     _check_wires(n, "network simulation")  # before the identity is allocated
-    return apply_network(gates, np.eye(2**n), n)
+    return apply_network(gates, np.eye(2**n))
 
 
 def network_to_text(gates):

@@ -70,9 +70,21 @@ def test_oversized_grid_refused_before_building(capsys, monkeypatch):
     # A cap of 100 keeps the test small; the paper's 1001-point grid is
     # accepted under the real cap (test_sweep_row_count_and_header).
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 100)
-    status, _, err = _run(capsys, "sweep", "--n", "3", "--grid", "0:1:0.001")
-    assert status == 4
-    assert "grid" in err
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(sqrm, "even_weight_summary", no_rows)
+        # the cap bounds the table's rows: 1001 points, then 2 block lengths x 51
+        for n_spec, grid in (("3", "0:1:0.001"), ("3,5", "0:1:0.02")):
+            status, out, err = _run(capsys, "sweep", "--n", n_spec, "--grid", grid)
+            assert status == 4
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert "grid" in err
+    status, _, _ = _run(capsys, "sweep", "--n", "3", "--grid", "0:1:0.02")
+    assert status == 0
     status, _, _ = _run(capsys, "c1", "--grid", "0:1:0.1")
     assert status == 0
 
@@ -83,17 +95,17 @@ def test_subnormal_grid_step_is_a_resource_error(capsys):
     assert "grid" in err
 
 
-def _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, n):
+def _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, n, status=4, text="wires"):
     def no_work(*args):
         raise AssertionError("synthesis started")
 
     monkeypatch.setattr(cli.cb_mod, "even_weight_codebook", no_work)
     monkeypatch.setattr(syn, "srm_vectors", no_work)
-    status, _, err = _run(
+    exit_code, _, err = _run(
         capsys, "synthesize", "--n", n, "--kappa", "0.5", "--out", str(tmp_path / "x")
     )
-    assert status == 4
-    assert "wires" in err
+    assert exit_code == status
+    assert text in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "x").exists()
 
@@ -112,6 +124,14 @@ def test_synthesize_beyond_block_limit_refused_for_its_width(tmp_path, capsys, m
     _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "21")
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_synthesize_rejects_small_block_before_work(tmp_path, capsys, monkeypatch, n):
+    # the network is built first, so its block-length check refuses n < 2
+    _synthesis_refused_before_work(
+        tmp_path, capsys, monkeypatch, n, status=2, text="block length must be >= 2"
+    )
+
+
 def test_threshold_tolerance_below_float_resolution_refused_before_work(capsys, monkeypatch):
     # Bisection below the float spacing never shrinks the bracket further.
     def no_work(*args):
@@ -128,6 +148,7 @@ def test_threshold_beyond_block_limit(capsys):
     status, _, err = _run(capsys, "threshold", "--n", "21")
     assert status == 4
     assert "limit" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("grid", ["0:0:1", "1:1:1"])
@@ -232,8 +253,34 @@ def test_sweep_json_fields(capsys):
 
 
 def test_sweep_rejects_small_block(capsys):
-    status, _, _ = _run(capsys, "sweep", "--n", "1", "--grid", "0:1:0.5")
+    # the alternative codebook's own rule (n = 3) names the block length too
+    for n in ("-1", "0", "1"):
+        for choice in ("even", "alt"):
+            status, out, err = _run(
+                capsys, "sweep", "--n", n, "--grid", "0:1:0.5", "--codebook", choice
+            )
+            assert status == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert "block length" in err
+
+
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_threshold_rejects_small_block(capsys, n):
+    status, out, err = _run(capsys, "threshold", "--n", n)
     assert status == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "block length must be >= 2" in err
+
+
+def test_sweep_alt_beyond_block_limit_is_a_domain_error(capsys):
+    # the alternative codebook's own rule (n = 3) comes before the limit
+    status, out, err = _run(capsys, "sweep", "--n", "21", "--grid", "0:1:0.5", "--codebook", "alt")
+    assert status == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "alternative codebook" in err
 
 
 def test_sweep_out_file_deterministic(tmp_path, capsys):
@@ -520,6 +567,7 @@ def test_gatecheck_zero_detuning(capsys):
     status, _, err = _run(capsys, "gatecheck", "--delta", "0")
     assert status == 2
     assert "detuning" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("n_spec", ["3,a", "3,"])

@@ -340,11 +340,13 @@ def test_simulate_network_rejects_gates_off_the_wires(gate):
         syn.simulate_network([gate], 2)
 
 
-@pytest.mark.parametrize("states", [np.ones(5), np.ones((5, 2)), np.ones((3, 4)), np.ones(3)],
-                         ids=["five-rows", "five-rows-two-columns", "three-rows", "vector-of-3"])
+@pytest.mark.parametrize("states", [np.ones(5), np.ones((5, 2)), np.ones((3, 4)), np.ones(3),
+                                    np.ones(1), np.float64(1.0)],
+                         ids=["five-rows", "five-rows-two-columns", "three-rows", "vector-of-3",
+                              "one-row", "scalar"])
 def test_apply_network_refuses_states_without_one_row_per_basis_state(states):
     with pytest.raises(DomainError, match="rows"):
-        syn.apply_network([syn.ControlledFlip((0,), 1)], states, 2)
+        syn.apply_network([syn.ControlledFlip((0,), 1)], states)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 0.8])
@@ -369,7 +371,7 @@ def test_expanded_network_on_row_pair_route_matches_simulator(block3):
 
 
 @pytest.mark.parametrize("run", [
-    lambda gates: syn.apply_network(gates, np.eye(4), 2),
+    lambda gates: syn.apply_network(gates, np.eye(4)),
     lambda gates: syn.simulate_network(gates, 2),
 ], ids=["apply_network", "simulate_network"])
 def test_simulator_refuses_gates_it_does_not_define(run):
@@ -386,7 +388,7 @@ def test_fourier_network_bit_identical_to_row_pair_route(n, kappa):
     gates = syn.fourier_network(n, kappa)
     mu = syn.srm_vectors(cb.even_weight_codebook(n), kappa)
     for states in (mu, np.eye(2**n)):
-        out = syn.apply_network(gates, states, n)
+        out = syn.apply_network(gates, states)
         ref = simulate_network_row_pairs(gates, n, states)
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
@@ -406,10 +408,10 @@ def test_apply_network_result_independent_of_input_layout(block3, network):
                  else syn.fourier_network(3, 0.8))
         ref = simulate_network_row_pairs(gates, 3, states)
     for layout in (states, np.asfortranarray(states)):
-        out = syn.apply_network(gates, layout, 3)
+        out = syn.apply_network(gates, layout)
         assert out.flags.c_contiguous
         assert np.array_equal(out, ref)
-    column = syn.apply_network(gates, states[:, 1], 3)
+    column = syn.apply_network(gates, states[:, 1])
     assert column.flags.c_contiguous
     assert np.array_equal(column, ref[:, 1])
 
@@ -421,7 +423,7 @@ _WIDE_BOOK = cb.Codebook(n=_WIDE, words=("0" * _WIDE,))
 @pytest.mark.parametrize("build", [
     lambda: syn.factor_to_gates([syn.TwoLevelFactor(i=0, j=1, gamma=0.1)], _WIDE),
     lambda: syn.fourier_network(_WIDE, 0.5),
-    lambda: syn.apply_network([], np.zeros(2**_WIDE), _WIDE),
+    lambda: syn.apply_network([], np.zeros(2**_WIDE)),
     lambda: syn.simulate_network([], _WIDE),
     lambda: syn.srm_vectors(_WIDE_BOOK, 0.5),
     lambda: syn.gram_schmidt_completion(np.zeros((2**_WIDE, 1)), _WIDE_BOOK, 0.5),
@@ -563,7 +565,7 @@ def test_fourier_network_reproduces_srm(n):
     book = cb.even_weight_codebook(n)
     for kappa in FOURIER_KAPPAS:
         states = cb.codeword_states(n, book.words, kappa)
-        readout = syn.apply_network(syn.fourier_network(n, kappa), states, n)[: len(book)]
+        readout = syn.apply_network(syn.fourier_network(n, kappa), states)[: len(book)]
         x = _gram_root_from_spectrum(book, kappa)
         assert np.max(np.abs(readout**2 - x**2)) < 1e-13, kappa
         if kappa <= 0.99:  # the eigh root loses digits as the Gram matrix turns singular
@@ -586,8 +588,8 @@ def test_apply_network_is_the_unitary_on_the_states(block3):
     _, _, _, gates = decoder_network(block3, 0.8)
     states = np.random.default_rng(3).normal(size=(8, 5))
     u = syn.simulate_network(gates, 3)
-    assert np.max(np.abs(syn.apply_network(gates, states, 3) - u @ states)) < 1e-14
-    assert np.array_equal(syn.apply_network(gates, np.eye(8), 3), u)
+    assert np.max(np.abs(syn.apply_network(gates, states) - u @ states)) < 1e-14
+    assert np.array_equal(syn.apply_network(gates, np.eye(8)), u)
 
 
 @pytest.mark.parametrize("n, kappa, error", [
