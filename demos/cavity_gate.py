@@ -17,13 +17,12 @@ from srmchannel import cavityqed as cq
 # physical parameters (rates in units of the coupling g)
 # ------------------------------------------------------------------
 g, delta, nu = 1.0, 5.0, 7.0
-g_eff = g * g / delta
 print(f"coupling g = {g}, detuning delta = {delta}, splitting nu = {nu}")
-print(f"dispersive rate g_eff = g^2/delta = {g_eff}")
-print()
-
 solution = cq.solve_sequence_params(g, delta, nu)
 params = solution["params"]
+print(f"dispersive rate g_eff = g^2/delta = {params.g_eff}")
+print()
+
 print("solved pulse parameters:")
 print(params.to_text())
 print(f"dispersive phase g_eff*t = {params.g_eff * params.t / np.pi:.6f} pi")
@@ -65,9 +64,9 @@ print()
 # ------------------------------------------------------------------
 print(" g_eff*t / pi    invariant distance")
 for scale in (0.25, 0.20, 0.15, 0.10):
-    t = scale * np.pi / g_eff
+    t = scale * np.pi / params.g_eff
     tau_prime = 2.0 * np.pi / nu
-    tau = tau_prime + t + g_eff * t / nu
+    tau = tau_prime + t + params.g_eff * t / nu
     trial = cq.PulseParams(g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime, t=t)
     b, _ = cq.sw_gate_sequence(trial)
     print(f"    {scale:.2f}          {cq.invariant_distance(b, target):.3e}")

@@ -35,8 +35,9 @@ EXIT_RESOURCE = 4
 # Most rows a --grid may give (points x block lengths); figure grids hold 1001 points.
 MAX_GRID_POINTS = 1_000_000
 
-# One row of the c1 table, 9 significant digits like the sweep CSV.
-_C1_ROW = ",".join(["%.9g"] * 4) + "\n"
+# The c1 table's columns (CSV header and --json keys); a row in the sweep's field format.
+_C1_COLUMNS = ("kappa", "p", "c1", "holevo")
+_C1_ROW = ",".join([sweep._FIELD] * len(_C1_COLUMNS)) + "\n"
 
 
 def _atomic_write(path, text):
@@ -95,13 +96,10 @@ def _cmd_c1(args):
     if args.json:
         import json
 
-        lines = [
-            json.dumps({"kappa": k, "p": p, "c1": c, "holevo": h})
-            for k, p, c, h in rows
-        ]
+        lines = [json.dumps(dict(zip(_C1_COLUMNS, row))) for row in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit("kappa,p,c1,holevo\n" + "".join(_C1_ROW % row for row in rows), args.out)
+        _emit(",".join(_C1_COLUMNS) + "\n" + "".join(_C1_ROW % r for r in rows), args.out)
     return EXIT_OK
 
 
@@ -165,7 +163,7 @@ def _cmd_gatecheck(args):
 
     result = cavityqed.solve_sequence_params(args.g, args.delta, args.nu)
     print(result["params"].to_text(), end="")
-    print(f"fidelity {result['fidelity']:.9g}")
+    print(f"fidelity {sweep._fmt(result['fidelity'])}")
     print(f"invariant_distance {result['invariant_distance']:.3e}")
     print(f"leakage {result['leakage']:.3e}")
     checks = (
@@ -200,7 +198,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="figure-reproduction tables")
     p.add_argument("--n", required=True, help="comma-separated block lengths")
     p.add_argument("--grid", required=True, help="start:end:step")
-    p.add_argument("--codebook", choices=("even", "alt"), default="even")
+    p.add_argument("--codebook", choices=sweep._CODEBOOKS, default="even")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)

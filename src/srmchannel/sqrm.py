@@ -58,18 +58,13 @@ def _clip_psd(eigvals):
     return np.clip(eigvals, 0.0, None)
 
 
-def _closed_form_x(kappa):
-    # Diagonal / off-diagonal entries of the block-3 even-weight channel matrix.
-    xd = 0.25 * (np.sqrt(1.0 + 3.0 * kappa**2) + 3.0 * np.sqrt(1.0 - kappa**2))
-    xo = 0.25 * (np.sqrt(1.0 + 3.0 * kappa**2) - np.sqrt(1.0 - kappa**2))
-    return xd, xo
-
-
 def i3_closed_form(kappa):
     """Mutual information of the block-3 even-weight code under SRM decoding,
     from the closed-form channel-matrix entries.  In bits."""
     kappa = float(_check_kappa(kappa))
-    xd, xo = _closed_form_x(kappa)
+    # diagonal and off-diagonal entries of the block-3 even-weight channel matrix
+    xd = 0.25 * (np.sqrt(1.0 + 3.0 * kappa**2) + 3.0 * np.sqrt(1.0 - kappa**2))
+    xo = 0.25 * (np.sqrt(1.0 + 3.0 * kappa**2) - np.sqrt(1.0 - kappa**2))
     a, b = xd**2, xo**2
     # xd >= 1/2 on [0, 1]; only xo vanishes, at kappa = 0
     info = 2.0 + a * np.log2(a)
@@ -121,12 +116,13 @@ def xor_fast_path(codebook, kappa):
     return np.sort(spectrum)[:: size // m], root[ints[0] ^ ints]
 
 
-def _symmetric_summary(q, multiplicity, m):
+def _symmetric_summary(q, multiplicity):
     """(information, error probability) of a symmetric M-ary SRM channel.
 
     ``q[..., c]`` is the probability of each of the ``multiplicity[c]``
-    outputs in class c given any input; class 0 is the correct output alone.
-    Leading axes of ``q`` carry independent channels.
+    outputs in class c given any input, M outputs in all (an exact sum of
+    integers); class 0 is the correct output alone.  Leading axes of ``q``
+    carry independent channels.
     """
     total = q @ multiplicity
     bad = np.abs(total - 1.0) > 1e-8
@@ -134,7 +130,7 @@ def _symmetric_summary(q, multiplicity, m):
         raise ConsistencyError(f"fast-path probabilities sum to {total[bad][0]}")
     mask = q > 0.0
     terms = np.where(mask, multiplicity * q * np.log2(np.where(mask, q, 1.0)), 0.0)
-    info = np.log2(m) + np.sum(terms, axis=-1)
+    info = np.log2(np.sum(multiplicity)) + np.sum(terms, axis=-1)
     return info[()], (1.0 - q[..., 0])[()]
 
 
@@ -148,7 +144,7 @@ def fast_srm_summary(codebook, kappa):
     """
     _, first_row = xor_fast_path(codebook, kappa)
     q = first_row**2
-    return _symmetric_summary(q, np.ones_like(q), len(codebook))
+    return _symmetric_summary(q, np.ones_like(q))
 
 
 def even_weight_summary(n, kappa):
@@ -182,6 +178,6 @@ def even_weight_summary(n, kappa):
         row += roots[..., j + 1, None] * cur
     q = (row / 2.0**n) ** 2
     multiplicity = np.array([comb(n, int(v)) for v in w], dtype=float)
-    info, pe = _symmetric_summary(q, multiplicity, 2 ** (n - 1))
+    info, pe = _symmetric_summary(q, multiplicity)
     same = kappa == 1.0
     return np.where(same, 0.0, info)[()], np.where(same, 1.0 - 2.0 ** (1 - n), pe)[()]

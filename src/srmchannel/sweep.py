@@ -29,9 +29,9 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "n,kappa,c1,per_letter_info,margin,pe_block,p_single,holevo"
-# One row of the table; %.9g formats a double exactly as f"{v:.9g}" does.
-_CSV_ROW = "%d," + ",".join(["%.9g"] * 7) + "\n"
+# Tables, thresholds, P_e and fidelity: %.9g prints a double as f"{v:.9g}" does.
+_FIELD = "%.9g"
+_CODEBOOKS = ("even", "alt")  # the even-weight code, the alternative block-3 set
 
 # Bisection never probes beyond this point: both margin terms vanish at
 # kappa = 1, so the margin there has no sign.
@@ -54,6 +54,11 @@ class SweepRow(NamedTuple):
     holevo: float
 
 
+CSV_HEADER = ",".join(SweepRow._fields)
+# One row of the table: the block length, then one field per double.
+_CSV_ROW = "%d," + ",".join([_FIELD] * (len(SweepRow._fields) - 1)) + "\n"
+
+
 class ThresholdResult(NamedTuple):
     n: int
     kappa_star: float | None
@@ -61,7 +66,7 @@ class ThresholdResult(NamedTuple):
 
 
 def _check_block(n, codebook_choice):
-    if codebook_choice not in ("even", "alt"):
+    if codebook_choice not in _CODEBOOKS:
         raise DomainError(f"unknown codebook choice {codebook_choice!r}")
     if codebook_choice == "alt" and n != 3:
         raise DomainError("the alternative codebook exists only at block length 3")
@@ -168,7 +173,7 @@ def sweep_table(n_list, kappa_grid, codebook_choice="even"):
 
 
 def _fmt(value):
-    return f"{value:.9g}"
+    return _FIELD % value
 
 
 def rows_to_csv(rows):

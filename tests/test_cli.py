@@ -50,7 +50,10 @@ def test_c1_grid_json(capsys):
     assert status == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert [r["kappa"] for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert set(rows[0]) == {"kappa", "p", "c1", "holevo"}
+    # every object's keys, in order, are the columns of the CSV header
+    _, csv, _ = _run(capsys, "c1", "--grid", "0:1:0.25")
+    header = csv.splitlines()[0].split(",")
+    assert all(list(r) == header for r in rows)
 
 
 def test_c1_bad_grid(capsys):
@@ -249,7 +252,9 @@ def test_sweep_json_fields(capsys):
     assert status == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert [r["n"] for r in rows] == [2, 3]
-    assert set(rows[0]) == set("n,kappa,c1,per_letter_info,margin,pe_block,p_single,holevo".split(","))
+    _, csv, _ = _run(capsys, "sweep", "--n", "2,3", "--grid", "0.5:0.5:1")
+    header = csv.splitlines()[0].split(",")
+    assert all(list(r) == header for r in rows)
 
 
 def test_sweep_rejects_small_block(capsys):
@@ -516,11 +521,14 @@ def test_synthesize_byte_identical_reruns(tmp_path, capsys):
 
 
 def test_synthesize_degenerate_kappa(tmp_path, capsys):
-    status, _, err = _run(
-        capsys, "synthesize", "--kappa", "0", "--out", str(tmp_path / "x")
-    )
-    assert status == 2
-    assert "kappa" in err
+    # synthesis needs 0 < kappa < 1; every other overlap, nan and inf included,
+    # is refused with one line before the output directory exists
+    for kappa in ("0", "1", "-0.1", "1.5", "nan", "inf"):
+        out_dir = tmp_path / "x"
+        status, _, err = _run(capsys, "synthesize", "--kappa", kappa, "--out", str(out_dir))
+        assert status == 2, kappa
+        assert len(err.splitlines()) == 1 and "kappa" in err, kappa
+        assert not out_dir.exists(), kappa
 
 
 @pytest.mark.parametrize("which", ["frame", "chain", "cr", "hadamard"])

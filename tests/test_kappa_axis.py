@@ -70,4 +70,4 @@ def test_leading_axes_keep_their_shape():
 def test_normalization_check_names_the_first_bad_channel():
     q = np.array([[0.5, 0.5], [0.5, 0.25], [0.25, 0.25]])
     with pytest.raises(ConsistencyError, match="sum to 0.75"):
-        sqrm._symmetric_summary(q, np.ones(2), 2)
+        sqrm._symmetric_summary(q, np.ones(2))
