@@ -64,9 +64,6 @@ print()
 # ------------------------------------------------------------------
 print(" g_eff*t / pi    invariant distance")
 for scale in (0.25, 0.20, 0.15, 0.10):
-    t = scale * np.pi / params.g_eff
-    tau_prime = 2.0 * np.pi / nu
-    tau = tau_prime + t + params.g_eff * t / nu
-    trial = cq.PulseParams(g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime, t=t)
+    trial = cq.PulseParams(g=g, delta=delta, nu=nu, t=scale * np.pi / params.g_eff)
     b, _ = cq.sw_gate_sequence(trial)
     print(f"    {scale:.2f}          {cq.invariant_distance(b, target):.3e}")

@@ -60,15 +60,26 @@ _SQRT_X.flags.writeable = False
 
 
 class PulseParams(NamedTuple):
-    """Physical parameters of the two-bit gate sequence (SI units); the Ramsey
-    pump amplitudes follow from the durations, as both pulse areas are pi/4."""
+    """The pulse program's four free parameters (SI units): coupling g,
+    detuning delta, atomic splitting nu and dispersive duration t.  The Ramsey
+    durations follow from them, and the pump amplitudes from the durations, as
+    both pulse areas are pi/4."""
 
     g: float
     delta: float
     nu: float
-    tau: float
-    tau_prime: float
     t: float
+
+    @property
+    def tau_prime(self):
+        if self.nu == 0.0:
+            raise DomainError("zero splitting: Ramsey duration tau' = 2 pi/nu undefined")
+        return 2.0 * np.pi / self.nu
+
+    @property
+    def tau(self):
+        # phase relation: nu (tau - tau')/2 = nu t / 2 + g_eff t / 2 (mod 2 pi)
+        return self.tau_prime + self.t + self.g_eff * self.t / self.nu
 
     @property
     def eps_abs(self):
@@ -211,8 +222,8 @@ def local_class_fidelity(block):
 def solve_sequence_params(g, delta, nu):
     """Choose pulse durations realizing the controlled-sqrt-NOT class.
 
-    The dispersive duration is the analytic g_eff t = pi/4, and the printed
-    phase relation fixes tau in terms of tau' and t.  Returns the parameters
+    The dispersive duration is the analytic g_eff t = pi/4; ``PulseParams``
+    derives the Ramsey durations from it.  Returns the parameters
     with the composed sequence's local-class fidelity, invariant distance to
     the target and leakage; judging them is left to the caller.
     """
@@ -221,17 +232,14 @@ def solve_sequence_params(g, delta, nu):
     if g <= 0 or nu <= 0:
         raise DomainError("g and nu must be positive")
     g_eff = _dispersive_rate(g, delta)
-    t = np.pi / (4.0 * abs(g_eff))
-    tau_prime = 2.0 * np.pi / nu
-    # phase relation: nu (tau - tau')/2 = nu t / 2 + g_eff t / 2 (mod 2 pi);
+    params = PulseParams(g=g, delta=delta, nu=nu, t=np.pi / (4.0 * abs(g_eff)))
     # |g_eff t| = pi/4 makes tau >= 7 pi / (4 nu) + t > 0
-    tau = tau_prime + t + g_eff * t / nu
+    t, tau_prime, tau = params.t, params.tau_prime, params.tau
     if not np.all(np.isfinite((t, tau_prime, tau))):
         raise DomainError(f"pulse durations overflow: t = {t}, tau' = {tau_prime}, tau = {tau}")
     # tau > t and |g_eff t| = pi/4, so every pulse phase is finite with nu tau
     if not np.isfinite(nu * tau):
         raise DomainError(f"pulse phase nu * tau overflows for nu = {nu}, tau = {tau}")
-    params = PulseParams(g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime, t=t)
     block, leakage = sw_gate_sequence(params)
     return {
         "params": params,

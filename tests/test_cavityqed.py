@@ -18,6 +18,22 @@ from srmchannel.exceptions import DomainError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SOLVE_CASES = [(1, 5, 7), (2, 8, 5), (1, -5, 7), (0.5, 3, 2), (1, 20, 7), (3, 4, 1)]
+# solve_sequence_params(*case)["params"].to_text() for each of SOLVE_CASES: scalar
+# arithmetic only, so the same bytes on every platform
+PINNED_SCHEDULES = {
+    (1, 5, 7): "g=1\ndelta=5\nnu=7\ntau=4.9367884556411035\ntau_prime=0.89759790102565518\n"
+               "eps_abs=0.15909090909090909\neps_prime_abs=0.875\nt=3.9269908169872414\n",
+    (2, 8, 5): "g=2\ndelta=8\nnu=5\ntau=2.9845130209103035\ntau_prime=1.2566370614359172\n"
+               "eps_abs=0.26315789473684209\neps_prime_abs=0.625\nt=1.5707963267948966\n",
+    (1, -5, 7): "g=1\ndelta=-5\nnu=7\ntau=4.7123889803846897\ntau_prime=0.89759790102565518\n"
+                "eps_abs=0.16666666666666666\neps_prime_abs=0.875\nt=3.9269908169872414\n",
+    (0.5, 3, 2): "g=0.5\ndelta=3\nnu=2\ntau=12.959069696057897\ntau_prime=3.1415926535897931\n"
+                 "eps_abs=0.060606060606060601\neps_prime_abs=0.25\nt=9.4247779607693793\n",
+    (1, 20, 7): "g=1\ndelta=20\nnu=7\ntau=16.717760906602827\ntau_prime=0.89759790102565518\n"
+                "eps_abs=0.046979865771812082\neps_prime_abs=0.875\nt=15.707963267948966\n",
+    (3, 4, 1): "g=3\ndelta=4\nnu=1\ntau=7.4176493209759\ntau_prime=6.2831853071795862\n"
+               "eps_abs=0.10588235294117648\neps_prime_abs=0.125\nt=0.3490658503988659\n",
+}
 
 
 def _haar2(rng):
@@ -104,7 +120,7 @@ def test_off_resonant_identity_and_semigroup():
 def test_off_resonant_rejects_resonance():
     # the dispersive pulse takes its rate from PulseParams.g_eff, which
     # refuses zero detuning
-    params = cq.PulseParams(g=1.0, delta=0.0, nu=7.0, tau=1.0, tau_prime=1.0, t=0.5)
+    params = cq.PulseParams(g=1.0, delta=0.0, nu=7.0, t=0.5)
     with pytest.raises(DomainError, match="zero detuning"):
         cq.sw_gate_sequence(params)
 
@@ -144,18 +160,43 @@ def test_primitives_unitary_randomized(seed):
 
 
 def test_pulse_params_round_trip():
-    params = cq.PulseParams(
-        g=1.0, delta=5.0, nu=7.0, tau=0.9, tau_prime=0.897597901025655, t=np.pi / 0.8,
-    )
+    t = np.pi / 0.8
+    params = cq.PulseParams(g=1.0, delta=5.0, nu=7.0, t=t)
     written = dict(line.split("=") for line in params.to_text().splitlines())
-    assert written.pop("eps_abs") == f"{np.pi / (4.0 * 0.9):.17g}"
-    assert written.pop("eps_prime_abs") == f"{np.pi / (4.0 * 0.897597901025655):.17g}"
+    tau_prime = 2.0 * np.pi / 7.0
+    tau = tau_prime + t + 0.2 * t / 7.0
+    derived = {"tau": tau, "tau_prime": tau_prime,
+               "eps_abs": np.pi / (4.0 * tau), "eps_prime_abs": np.pi / (4.0 * tau_prime)}
+    for name, value in derived.items():
+        assert written.pop(name) == f"{value:.17g}"
     assert cq.PulseParams(**{k: float(v) for k, v in written.items()}) == params
     assert params.g_eff == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_pulse_params_derive_the_ramsey_durations(seed):
+    # tau' = 2 pi/nu and the phase relation nu (tau - tau')/2 = (nu + g_eff) t/2,
+    # bit for bit as the solve evaluates them
+    rng = np.random.default_rng(seed)
+    g, nu, t = (float(x) for x in rng.uniform(0.1, 10.0, size=3))
+    delta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 20.0))
+    params = cq.PulseParams(g=g, delta=delta, nu=nu, t=t)
+    assert params.tau_prime == 2.0 * np.pi / nu
+    assert params.tau == 2.0 * np.pi / nu + t + g * g / delta * t / nu
+    solved = cq.solve_sequence_params(g, delta, nu)["params"]
+    assert solved == cq.PulseParams(g, delta, nu, np.pi / (4.0 * abs(g * g / delta)))
+
+
+def test_pulse_params_zero_splitting():
+    params = cq.PulseParams(g=1.0, delta=5.0, nu=0.0, t=1.0)
+    with pytest.raises(DomainError, match="zero splitting"):
+        params.tau_prime
+    with pytest.raises(DomainError, match="zero splitting"):
+        cq.sw_gate_sequence(params)
+
+
 def test_pulse_params_resonance():
-    params = cq.PulseParams(g=1.0, delta=0.0, nu=7.0, tau=1.0, tau_prime=1.0, t=1.0)
+    params = cq.PulseParams(g=1.0, delta=0.0, nu=7.0, t=1.0)
     with pytest.raises(DomainError, match="zero detuning: dispersive coupling undefined"):
         params.g_eff
 
@@ -237,6 +278,12 @@ def test_solve_failure_carries_best(monkeypatch):
 
 
 @pytest.mark.parametrize("g, delta, nu", SOLVE_CASES)
+def test_solve_prints_the_pinned_schedule(g, delta, nu):
+    text = cq.solve_sequence_params(g, delta, nu)["params"].to_text()
+    assert text == PINNED_SCHEDULES[g, delta, nu]
+
+
+@pytest.mark.parametrize("g, delta, nu", SOLVE_CASES)
 def test_solve_uses_analytic_duration(g, delta, nu):
     result = cq.solve_sequence_params(g, delta, nu)
     params = result["params"]
@@ -245,12 +292,8 @@ def test_solve_uses_analytic_duration(g, delta, nu):
 
 
 def _detuned(scale, g=1.0, delta=5.0, nu=7.0):
-    # the demo's detuned sequences: g_eff t = scale pi with the solve's tau, tau'
-    g_eff = g * g / delta
-    t = scale * np.pi / g_eff
-    tau_prime = 2.0 * np.pi / nu
-    tau = tau_prime + t + g_eff * t / nu
-    return cq.PulseParams(g=g, delta=delta, nu=nu, tau=tau, tau_prime=tau_prime, t=t)
+    # the demo's detuned sequences: g_eff t = scale pi
+    return cq.PulseParams(g=g, delta=delta, nu=nu, t=scale * np.pi / (g * g / delta))
 
 
 @pytest.mark.parametrize(

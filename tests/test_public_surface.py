@@ -3,8 +3,8 @@
 A name listed in a module's ``__all__`` must be used somewhere in ``src/``,
 ``demos/`` or ``srmbench/`` outside its own top-level definition, or head a
 per-layer metric of its own module in ``BENCHMARK.json`` (name N of module M
-is exempt when a metric starts with ``M.N.``).  Re-exports in the package
-``__init__`` do not count as uses, nor do strings or comments.
+is exempt when a metric starts with ``M.N.``).  Strings and comments do not
+count as uses.  The package ``__init__`` exports its modules and nothing else.
 """
 
 import ast
@@ -55,8 +55,7 @@ def _trees():
     out = {}
     for directory in SEARCHED:
         for path in sorted(directory.rglob("*.py")):
-            if path != PACKAGE / "__init__.py":
-                out[path] = ast.parse(path.read_text())
+            out[path] = ast.parse(path.read_text())
     return out
 
 
@@ -66,6 +65,14 @@ METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())[
 
 def _named_by_metric(module, name):
     return any(metric.startswith(f"{module}.{name}.") for metric in METRICS)
+
+
+def test_package_exports_only_its_modules():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    exported = [name for module, name in _public_names() if module == "__init__.py"]
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert exported and set(exported) <= modules
 
 
 def test_metric_exemption_needs_module_and_name():

@@ -1,5 +1,6 @@
 """Each subcommand loads only the layers it uses, and a repeated call prints
-the same bytes as the first one, which paid for the loading.
+the same bytes as the first one, which paid for the loading.  The package
+itself loads no module until one is imported.
 
 Every case runs in a fresh interpreter, since the test process has imported
 every module already.
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 # Calls cli.main twice with the given argv, recording what the first call
 # loaded and the stdout and written files of both calls.
@@ -55,15 +58,13 @@ CASES = {
 
 @pytest.fixture(scope="module")
 def fresh_runs(tmp_path_factory):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out_dir = str(tmp_path_factory.mktemp("net"))
     runs = {}
     for case, (argv, _) in CASES.items():
         argv = [out_dir if a is None else a for a in argv]
         result = subprocess.run(
             [sys.executable, "-c", SCRIPT, *argv],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=ENV, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
         runs[case] = ast.literal_eval(result.stdout)
@@ -87,3 +88,24 @@ def test_second_call_prints_the_same_bytes(fresh_runs, case):
 def test_synthesize_writes_its_two_files(fresh_runs):
     _, (_, _, files), _ = fresh_runs["synthesize"]
     assert sorted(files) == ["network.txt", "v.txt"]
+
+
+# What a fresh ``import srmchannel.cavityqed`` loads of the package, then the
+# modules ``from srmchannel import *`` binds under their own names.
+IMPORTS = """
+import sys
+import srmchannel.cavityqed
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "srmchannel")
+from srmchannel import *
+bound = sorted(k for k, v in globals().items() if getattr(v, "__name__", None) == "srmchannel." + k)
+print(repr((loaded, bound)))
+"""
+
+
+def test_package_loads_only_the_imported_module():
+    result = subprocess.run([sys.executable, "-c", IMPORTS], env=ENV, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded, bound = ast.literal_eval(result.stdout)
+    assert loaded == ["srmchannel", "srmchannel.cavityqed", "srmchannel.exceptions"]
+    assert bound == ["binary_channel", "cavityqed", "codebook", "sqrm", "sweep", "synthesis"]
