@@ -19,6 +19,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -41,11 +42,22 @@ _C1_ROW = ",".join([sweep._FIELD] * len(_C1_COLUMNS)) + "\n"
 
 
 def _atomic_write(path, text):
-    """Write through a temporary file beside ``path``; an ``OSError`` names ``path``."""
+    """Write through a temporary file beside ``path``; an ``OSError`` names ``path``.
+
+    The file gets the mode ``open(path, "w")`` would leave: a replaced file keeps
+    its own, a new one gets 0o666 less the umask (``mkstemp`` alone gives 0o600).
+    """
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
         with os.fdopen(fd, "w") as fh:
+            try:
+                mode = stat.S_IMODE(os.stat(path).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:

@@ -164,17 +164,19 @@ def even_weight_summary(n, kappa):
     """
     cb_mod._check_block_length(n)
     kappa = _check_kappa(kappa)
+    # (1 +- kappa)^k for k = 0..n; reversed, the same values are (1 +- kappa)^(n-k).
     k = np.arange(n + 1)
-    a, b = 1.0 + kappa[..., None], 1.0 - kappa[..., None]
-    roots = np.sqrt(0.5 * (a ** (n - k) * b**k + b ** (n - k) * a**k))
+    a, b = (1.0 + kappa[..., None]) ** k, (1.0 - kappa[..., None]) ** k
+    roots = np.sqrt(0.5 * (a[..., ::-1] * b + b[..., ::-1] * a))
     w = np.arange(0, n + 1, 2)
-    # K_0 = 1, K_1 = n - 2w, (j+1) K_{j+1} = (n-2w) K_j - (n-j+1) K_{j-1}:
+    # K_0 = 1, K_1 = x = n - 2w, (j+1) K_{j+1} = x K_j - (n-j+1) K_{j-1}:
     # all values are integers far below 2**53, so the recurrence is exact.
     # They do not depend on kappa, which broadcasts along the leading axes.
-    prev, cur = np.ones(len(w)), n - 2.0 * w
+    x = n - 2.0 * w
+    prev, cur = np.ones(len(w)), x
     row = roots[..., 0, None] * prev + roots[..., 1, None] * cur
     for j in range(1, n):
-        prev, cur = cur, ((n - 2.0 * w) * cur - (n - j + 1) * prev) / (j + 1)
+        prev, cur = cur, (x * cur - (n - j + 1) * prev) / (j + 1)
         row += roots[..., j + 1, None] * cur
     q = (row / 2.0**n) ** 2
     multiplicity = np.array([comb(n, int(v)) for v in w], dtype=float)

@@ -11,6 +11,7 @@ probe in one call, so the refinement finds the same bracket as a bisection
 that probes one midpoint per call.
 """
 
+import sys
 from itertools import repeat
 from typing import NamedTuple
 
@@ -77,9 +78,9 @@ def _block_summary(n, kappa, codebook_choice="even"):
     """(information, block error probability) for the chosen codebook, each
     with the shape of ``kappa``."""
     _check_block(n, codebook_choice)
-    kappa = binary_channel._check_kappa(kappa)
     if codebook_choice == "even":
         return sqrm.even_weight_summary(n, kappa)
+    kappa = binary_channel._check_kappa(kappa)
     # A free letter times the pair {00, 11} of overlap kappa^2: the SRM of this product
     # ensemble is the product of two binary SRMs, each a binary symmetric channel
     # with crossover (1 - sqrt(1 - s^2)) / 2, written without cancellation at small s.
@@ -127,9 +128,9 @@ def threshold_kappa(n, tolerance=1e-4):
     """
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
-    if tolerance < np.finfo(float).eps:
+    if tolerance < sys.float_info.epsilon:
         raise ResourceError(
-            f"tolerance {tolerance} is below the float resolution {np.finfo(float).eps}"
+            f"tolerance {tolerance} is below the float resolution {sys.float_info.epsilon}"
         )
     grid = np.arange(_SCAN_STEP, _KAPPA_CEIL + 1e-12, _SCAN_STEP)
     margins = superadditivity_margin(n, grid)

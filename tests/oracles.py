@@ -19,6 +19,7 @@ it, so it is the only route for networks with complex cores, which the
 library's simulator refuses.
 """
 
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from srmchannel import binary_channel as bc
 from srmchannel import cavityqed as cq
 from srmchannel import codebook as cb
+from srmchannel import sqrm
 from srmchannel import sweep
 from srmchannel import synthesis as syn
 from srmchannel.exceptions import ConsistencyError, DomainError
@@ -313,6 +315,29 @@ def rows_to_csv_per_field(rows):
         fields = (r.n, r.kappa, r.c1, r.per_letter_info, r.margin, r.pe_block, r.p_single, r.holevo)
         lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in fields))
     return "\n".join(lines) + "\n"
+
+
+def even_weight_summary_recurrence(n, kappa):
+    """``sqrm.even_weight_summary`` with every power of (1 +- kappa) taken by
+    its own ``**`` and ``n - 2w`` rebuilt in each step of the Krawtchouk
+    recurrence.  The engine computes each power once and hoists that term;
+    both outputs must agree with this form bit for bit."""
+    cb._check_block_length(n)
+    kappa = bc._check_kappa(kappa)
+    k = np.arange(n + 1)
+    a, b = 1.0 + kappa[..., None], 1.0 - kappa[..., None]
+    roots = np.sqrt(0.5 * (a ** (n - k) * b**k + b ** (n - k) * a**k))
+    w = np.arange(0, n + 1, 2)
+    prev, cur = np.ones(len(w)), n - 2.0 * w
+    row = roots[..., 0, None] * prev + roots[..., 1, None] * cur
+    for j in range(1, n):
+        prev, cur = cur, ((n - 2.0 * w) * cur - (n - j + 1) * prev) / (j + 1)
+        row += roots[..., j + 1, None] * cur
+    q = (row / 2.0**n) ** 2
+    multiplicity = np.array([comb(n, int(v)) for v in w], dtype=float)
+    info, pe = sqrm._symmetric_summary(q, multiplicity)
+    same = kappa == 1.0
+    return np.where(same, 0.0, info)[()], np.where(same, 1.0 - 2.0 ** (1 - n), pe)[()]
 
 
 def threshold_kappa_sequential(n, tolerance):

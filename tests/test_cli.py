@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -145,6 +147,16 @@ def test_threshold_tolerance_below_float_resolution_refused_before_work(capsys, 
     assert status == 4
     assert out == ""
     assert "tolerance" in err
+
+
+def test_threshold_tolerance_boundary_is_the_float_epsilon(capsys):
+    status, out, _ = _run(capsys, "threshold", "--n", "3", "--tol", "2.220446049250313e-16")
+    assert status == 0 and out == "0.738143258\n"
+    status, out, err = _run(capsys, "threshold", "--n", "3", "--tol", "2.2204460492503128e-16")
+    assert status == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "float resolution 2.220446049250313e-16" in err
 
 
 def test_threshold_beyond_block_limit(capsys):
@@ -301,6 +313,31 @@ def test_sweep_out_file_deterministic(tmp_path, capsys):
     )
     assert status == 0
     assert out_file.read_bytes() == first
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_out_files_take_the_umask_and_keep_a_replaced_mode(tmp_path, capsys, umask_022):
+    # the modes open(path, "w") leaves, not mkstemp's 0o600
+    table, syn_dir = tmp_path / "a.csv", tmp_path / "syn"
+    assert _run(capsys, "sweep", "--n", "3", "--grid", "0:1:0.5", "--out", str(table))[0] == 0
+    assert _run(capsys, "synthesize", "--n", "3", "--kappa", "0.8", "--out", str(syn_dir))[0] == 0
+    for path in (table, syn_dir / "v.txt", syn_dir / "network.txt"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    table.chmod(0o640)
+    assert _run(capsys, "c1", "--kappa", "0.8", "--out", str(table))[0] == 0
+    assert stat.S_IMODE(table.stat().st_mode) == 0o640
+    assert table.read_text().startswith("kappa,p,c1,holevo\n")
+    os.umask(0o077)
+    fresh = tmp_path / "b.csv"
+    assert _run(capsys, "c1", "--kappa", "0.8", "--out", str(fresh))[0] == 0
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o600
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,14 @@ import pytest
 
 from srmchannel import binary_channel as bc
 from srmchannel import codebook as cb
-from srmchannel import sqrm, synthesis as syn
+from srmchannel import cli, sqrm, sweep, synthesis as syn
 from srmchannel.exceptions import DomainError
 
 from oracles import (
     alternative_codebook,
     average_error_probability,
     conditional_probabilities,
+    even_weight_summary_recurrence,
     holevo_condition_check,
     mutual_information,
     product_decoding_information,
@@ -265,3 +266,29 @@ def test_overlap_outside_unit_interval_refused(route, kappa):
     # one overlap rule for every route: NaN or kappa < 0 must not yield 2 bits
     with pytest.raises(DomainError):
         route(cb.even_weight_codebook(3), kappa)
+
+
+# The figure grids, the threshold scan, one bisection round inside a scan
+# cell, and scalars and arrays holding both exact ends.
+ENGINE_KAPPAS = (
+    cli._parse_grid("0:1:0.001"),
+    cli._parse_grid("0.5:0.99:0.005"),
+    np.arange(sweep._SCAN_STEP, sweep._KAPPA_CEIL + 1e-12, sweep._SCAN_STEP),
+    sweep._bisection_edges(0.705, 0.71),
+    0.0,
+    0.8,
+    1.0,
+    [0.0, 1.0],
+    [1.0, 0.5, 0.0],
+)
+
+
+@pytest.mark.parametrize("n", range(2, cb.MAX_BLOCK_LENGTH + 1))
+def test_even_weight_summary_bit_identical_to_recurrence(n):
+    for kappa in ENGINE_KAPPAS:
+        got = sqrm.even_weight_summary(n, kappa)
+        want = even_weight_summary_recurrence(n, kappa)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.shape(g) == np.shape(w)
+            # bytes as well: array_equal takes -0.0 for 0.0
+            assert np.array_equal(g, w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
