@@ -178,5 +178,5 @@ def _fmt(value):
 
 
 def rows_to_csv(rows):
-    """Render sweep rows in the regression CSV format (9 significant digits)."""
-    return CSV_HEADER + "\n" + "".join(_CSV_ROW % r for r in rows)
+    """Sweep rows as lines of the regression CSV under ``CSV_HEADER`` (9 significant digits)."""
+    return "".join(_CSV_ROW % r for r in rows)

@@ -307,14 +307,14 @@ def simulate_network_row_pairs(gates, n, states=None):
 
 
 def rows_to_csv_per_field(rows):
-    """The sweep CSV built field by field: an f-string with 9 significant
+    """The sweep CSV's rows built field by field: an f-string with 9 significant
     digits for each float, ``str`` for anything else.  ``sweep.rows_to_csv``
     must agree with it byte for byte."""
-    lines = [sweep.CSV_HEADER]
+    lines = []
     for r in rows:
         fields = (r.n, r.kappa, r.c1, r.per_letter_info, r.margin, r.pe_block, r.p_single, r.holevo)
         lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in fields))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def even_weight_summary_recurrence(n, kappa):

@@ -341,6 +341,35 @@ def test_out_files_take_the_umask_and_keep_a_replaced_mode(tmp_path, capsys, uma
 
 
 @pytest.mark.parametrize(
+    "argv", [("c1", "--grid", "0:1:0.5"), ("sweep", "--n", "3", "--grid", "0:1:0.5")],
+    ids=["c1", "sweep"],
+)
+def test_out_writes_through_a_symlink(tmp_path, capsys, umask_022, argv):
+    # as open(path, "w") does: the link stays, its target gets the table
+    table = _run(capsys, *argv)[1]
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to("target.csv")
+    assert _run(capsys, *argv, "--out", str(link))[0] == 0
+    assert link.is_symlink() and target.read_text() == table
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    # a dangling link creates the file it names, with the umask's mode
+    dangling, fresh = tmp_path / "dangling.csv", tmp_path / "sub" / "fresh.csv"
+    (tmp_path / "sub").mkdir()
+    dangling.symlink_to("sub/fresh.csv")
+    assert _run(capsys, *argv, "--out", str(dangling))[0] == 0
+    assert dangling.is_symlink() and fresh.read_text() == table
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+    # a link into a missing directory fails naming the path given, not its target
+    broken = tmp_path / "broken.csv"
+    broken.symlink_to("missing/x.csv")
+    status, _, err = _run(capsys, *argv, "--out", str(broken))
+    assert status == 2 and repr(str(broken)) in err and "missing" not in err
+    assert broken.is_symlink() and not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize(
     "argv, target",
     [
         (("sweep", "--n", "3", "--grid", "0:1:0.5", "--out"), "missing/x.csv"),
