@@ -21,27 +21,21 @@ __all__ = [
     "crossover_probability",
     "capacity_c1",
     "holevo_limit",
-    "binary_entropy",
 ]
 
 
-def _unit_interval(values, what):
-    """``values`` as a float array; DomainError naming the first one outside [0, 1]."""
-    values = np.asarray(values, dtype=float)
-    bad = ~((0.0 <= values) & (values <= 1.0))
-    if bad.any():
-        raise DomainError(f"{what} must lie in [0, 1], got {values[bad][0]}")
-    return values
-
-
 def _check_kappa(kappa):
+    """``kappa`` as a float array; DomainError naming the first overlap outside [0, 1]."""
+    kappa = np.asarray(kappa, dtype=float)
+    bad = ~((0.0 <= kappa) & (kappa <= 1.0))
+    if bad.any():
+        raise DomainError(f"overlap must lie in [0, 1], got {kappa[bad][0]}")
     # + 0.0 turns an overlap of -0.0 into 0.0, so no output shows "-0".
-    return _unit_interval(kappa, "overlap") + 0.0
+    return kappa + 0.0
 
 
-def binary_entropy(p):
-    """H(p) in bits, with the 0*log(0) = 0 convention."""
-    p = _unit_interval(p, "probability")
+def _binary_entropy(p):
+    """H(p) in bits, with the 0*log(0) = 0 convention; p comes from a checked overlap."""
     inside = (0.0 < p) & (p < 1.0)
     q = np.where(inside, p, 0.5)
     return np.where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)[()]
@@ -68,7 +62,7 @@ def crossover_probability(kappa):
 
 def capacity_c1(kappa):
     """One-shot capacity C1 = 1 - H(p) in bits."""
-    return 1.0 - binary_entropy(crossover_probability(kappa))
+    return 1.0 - _binary_entropy(crossover_probability(kappa))
 
 
 def holevo_limit(kappa):
@@ -80,4 +74,4 @@ def holevo_limit(kappa):
     smaller one.
     """
     kappa = _check_kappa(kappa)
-    return binary_entropy(0.5 * (1.0 - kappa))
+    return _binary_entropy(0.5 * (1.0 - kappa))

@@ -16,13 +16,13 @@ the capacity commands start without them.
 """
 
 import argparse
+import errno
 import functools
 import itertools
 import math
 import os
 import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -47,27 +47,30 @@ _CHUNK_ROWS = 8192
 
 
 def _atomic_write(path, pieces):
-    """Write the text ``pieces`` to a temporary file renamed onto ``path`` once complete; as
-    ``open(path, "w")`` does, write through a symlink, keep a replaced file's mode and give
-    a new one 0o666 less the umask (``mkstemp`` gives 0o600).  An ``OSError`` names ``path``."""
-    tmp = None
+    """Write the text ``pieces`` to a temporary file renamed onto ``path`` once complete.
+    As ``open(path, "w")`` does, write through a symlink, refuse a directory or a path with
+    no file name (before any piece is taken), let the kernel apply the umask to a new file
+    and keep a replaced file's mode.  An ``OSError`` names ``path``."""
     try:
         target = os.path.realpath(path) if os.path.islink(path) else path
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), prefix=".tmp-")
-        with os.fdopen(fd, "w") as fh:
-            try:
-                mode = stat.S_IMODE(os.stat(target).st_mode)
-            except FileNotFoundError:
-                umask = os.umask(0)
-                os.umask(umask)
-                mode = 0o666 & ~umask
-            os.fchmod(fd, mode)
-            fh.writelines(pieces)
-        os.replace(tmp, target)
-    except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
+        if not os.path.basename(target) or os.path.isdir(target):
+            code = errno.EISDIR if target else errno.ENOENT
+            raise OSError(code, os.strerror(code))
+        tmp = os.path.join(os.path.dirname(target), ".tmp-" + os.urandom(8).hex())
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                try:
+                    os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+                except FileNotFoundError:
+                    pass
+                fh.writelines(pieces)
+            os.replace(tmp, target)
+        except BaseException:
             os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.errno is not None:
+            raise
+    except OSError as exc:
+        if exc.errno is not None:
             raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 

@@ -132,5 +132,3 @@ def test_domain_error_names_first_bad_value():
         bc.capacity_c1([0.2, 1.5, -1.0])
     with pytest.raises(DomainError, match="got nan"):
         bc.holevo_limit(np.array([0.5, np.nan]))
-    with pytest.raises(DomainError, match="probability"):
-        bc.binary_entropy([0.5, -0.25])

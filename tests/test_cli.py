@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import average_error_probability, read_network
-from srmchannel import cavityqed as cq, cli, codebook as cb, exceptions, sqrm, sweep, synthesis as syn
+from srmchannel import binary_channel as bc, cavityqed as cq, cli, codebook as cb, exceptions, sqrm, sweep
+from srmchannel import synthesis as syn
 
 
 def _run(capsys, *argv):
@@ -387,6 +388,49 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, target):
     assert err.startswith("error: ") and "Traceback" not in err
     assert repr(str(tmp_path / target)) in err and ".tmp-" not in err
     assert not list(tmp_path.rglob(".tmp-*"))
+
+
+TABLES = [("c1", "--grid", "0:1:0.5"), ("sweep", "--n", "3", "--grid", "0:1:0.5")]
+
+
+@pytest.mark.parametrize("target", ["", ".", "a_dir", "new.csv/", "dir_link"],
+                         ids=["empty", "dot", "dir", "slash", "dir-link"])
+@pytest.mark.parametrize("argv", TABLES, ids=["c1", "sweep"])
+def test_refused_out_computes_no_row(tmp_path, capsys, monkeypatch, argv, target):
+    work = tmp_path / "work"
+    (work / "a_dir").mkdir(parents=True)
+    (work / "dir_link").symlink_to("a_dir")
+    monkeypatch.chdir(work)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for module, name in [(sweep, "sweep_table"), (bc, "crossover_probability"),
+                         (bc, "capacity_c1"), (bc, "holevo_limit")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    status, out, err = _run(capsys, *argv, "--out", target)
+    assert (status, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and err.endswith(f": {target!r}\n") and err.count("\n") == 1
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+def _umask_is_not_called(mask=None):
+    raise AssertionError("os.umask called")
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
+def test_out_leaves_the_umask_to_the_kernel(tmp_path, capsys, monkeypatch, mask):
+    old = os.umask(mask)
+    try:
+        monkeypatch.setattr(os, "umask", _umask_is_not_called)
+        for argv in TABLES:
+            table = tmp_path / f"{argv[0]}.csv"
+            assert _run(capsys, *argv, "--out", str(table))[0] == 0
+            assert stat.S_IMODE(table.stat().st_mode) == 0o666 & ~mask
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
 
 
 def test_parser_built_once_per_process():

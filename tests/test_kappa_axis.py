@@ -50,10 +50,10 @@ def test_block_quantities_batch_equal_scalar_calls(n, kappas):
 @given(kappas=_KAPPAS)
 def test_letter_quantities_batch_equal_scalar_calls(kappas):
     kappa = np.array(kappas)
-    for fn in (bc.capacity_c1, bc.crossover_probability, bc.binary_entropy, bc.holevo_limit):
+    for fn in (bc.capacity_c1, bc.crossover_probability, bc._binary_entropy, bc.holevo_limit):
         _assert_per_element(fn(kappa), [fn(k) for k in kappas])
-    for k, c1, h in zip(kappas, bc.capacity_c1(kappa), bc.binary_entropy(kappa)):
-        assert c1 == (0.0 if k == 1.0 else 1.0 - bc.binary_entropy(bc.crossover_probability(k)))
+    for k, c1, h in zip(kappas, bc.capacity_c1(kappa), bc._binary_entropy(kappa)):
+        assert c1 == (0.0 if k == 1.0 else 1.0 - bc._binary_entropy(bc.crossover_probability(k)))
         assert (h == 0.0) == (k in (0.0, 1.0))
 
 
