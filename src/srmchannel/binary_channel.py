@@ -54,10 +54,11 @@ def letter_states(kappa):
 
 
 def crossover_probability(kappa):
-    """Crossover probability p = (1 - sqrt(1 - kappa^2)) / 2 of the induced
-    binary symmetric channel; also the single-letter minimum error probability."""
+    """Crossover probability p = (1 - sqrt(1 - kappa^2)) / 2 of the induced binary
+    symmetric channel, the single-letter minimum error probability; evaluated as
+    kappa^2 / (2 (1 + sqrt(1 - kappa^2))), which does not cancel at small kappa."""
     kappa = _check_kappa(kappa)
-    return 0.5 * (1.0 - np.sqrt(1.0 - kappa * kappa))
+    return 0.5 * kappa * kappa / (1.0 + np.sqrt(1.0 - kappa * kappa))
 
 
 def capacity_c1(kappa):

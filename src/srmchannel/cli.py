@@ -155,6 +155,9 @@ def _cmd_synthesize(args):
         raise DomainError("synthesis requires 0 < kappa < 1")
     # first, so its width and block-length checks come before any other work
     gates = synthesis.fourier_network(args.n, args.kappa)
+    # then the refusal os.makedirs gives an --out that exists and is no directory
+    if os.path.lexists(args.out.rstrip(os.sep)) and not os.path.isdir(args.out):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
     book = cb_mod.even_weight_codebook(args.n)
     mu = synthesis.srm_vectors(book, args.kappa)
     v = synthesis.gram_schmidt_completion(mu, book, args.kappa).T

@@ -119,10 +119,10 @@ def xor_fast_path(codebook, kappa):
 def _symmetric_summary(q, multiplicity):
     """(information, error probability) of a symmetric M-ary SRM channel.
 
-    ``q[..., c]`` is the probability of each of the ``multiplicity[c]``
-    outputs in class c given any input, M outputs in all (an exact sum of
-    integers); class 0 is the correct output alone.  Leading axes of ``q``
-    carry independent channels.
+    ``q[..., c]`` is the probability of each of the ``multiplicity[c]`` outputs in
+    class c given any input, M outputs in all (an exact sum of integers); class 0 is
+    the correct output alone, so P_e is the sum of the others (1 - q[..., 0] cancels
+    at small kappa).  Leading axes of ``q`` carry independent channels.
     """
     total = q @ multiplicity
     bad = np.abs(total - 1.0) > 1e-8
@@ -131,7 +131,7 @@ def _symmetric_summary(q, multiplicity):
     mask = q > 0.0
     terms = np.where(mask, multiplicity * q * np.log2(np.where(mask, q, 1.0)), 0.0)
     info = np.log2(np.sum(multiplicity)) + np.sum(terms, axis=-1)
-    return info[()], (1.0 - q[..., 0])[()]
+    return info[()], np.sum(multiplicity[1:] * q[..., 1:], axis=-1)[()]
 
 
 def fast_srm_summary(codebook, kappa):

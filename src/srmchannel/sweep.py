@@ -27,7 +27,6 @@ __all__ = [
     "threshold_kappa",
     "sweep_table",
     "rows_to_csv",
-    "CSV_HEADER",
 ]
 
 # Tables, thresholds, P_e and fidelity: %.9g prints a double as f"{v:.9g}" does.
@@ -55,7 +54,6 @@ class SweepRow(NamedTuple):
     holevo: float
 
 
-CSV_HEADER = ",".join(SweepRow._fields)
 # One row of the table: the block length, then one field per double.
 _CSV_ROW = "%d," + ",".join([_FIELD] * (len(SweepRow._fields) - 1)) + "\n"
 
@@ -82,11 +80,9 @@ def _block_summary(n, kappa, codebook_choice="even"):
         return sqrm.even_weight_summary(n, kappa)
     kappa = binary_channel._check_kappa(kappa)
     # A free letter times the pair {00, 11} of overlap kappa^2: the SRM of this product
-    # ensemble is the product of two binary SRMs, each a binary symmetric channel
-    # with crossover (1 - sqrt(1 - s^2)) / 2, written without cancellation at small s.
-    pair = kappa * kappa
-    p1, p2 = (0.5 * s * s / (1.0 + np.sqrt(1.0 - s * s)) for s in (kappa, pair))
-    info = binary_channel.capacity_c1(kappa) + binary_channel.capacity_c1(pair)
+    # ensemble is the product of two binary SRMs, each a binary symmetric channel.
+    p1, p2 = map(binary_channel.crossover_probability, (kappa, kappa * kappa))
+    info = binary_channel.capacity_c1(kappa) + binary_channel.capacity_c1(kappa * kappa)
     return info[()], (p1 + p2 - p1 * p2)[()]
 
 
@@ -178,5 +174,5 @@ def _fmt(value):
 
 
 def rows_to_csv(rows):
-    """Sweep rows as lines of the regression CSV under ``CSV_HEADER`` (9 significant digits)."""
+    """Sweep rows as lines of the regression CSV, without its header (9 significant digits)."""
     return "".join(_CSV_ROW % r for r in rows)

@@ -441,7 +441,7 @@ def test_back_to_back_calls_share_no_parse_state(capsys):
     status, out, _ = _run(capsys, "sweep", "--n", "3", "--grid", "0:1:0.5", "--json")
     assert status == 0 and json.loads(out.splitlines()[0])["n"] == 3
     status, out, _ = _run(capsys, "sweep", "--n", "3", "--grid", "0:1:0.5")
-    assert status == 0 and out.splitlines()[0] == sweep.CSV_HEADER
+    assert status == 0 and out.splitlines()[0] == ",".join(sweep.SweepRow._fields)
     status, out, _ = _run(capsys, "threshold", "--n", "3", "--json")
     assert status == 0 and json.loads(out)["n"] == 3
     status, out, _ = _run(capsys, "threshold", "--n", "3")
@@ -450,14 +450,14 @@ def test_back_to_back_calls_share_no_parse_state(capsys):
     assert status == 2 and "--n" in err
 
 
-# sha256 of stdout, computed when every field was formatted by its own f-string.
+# sha256 of stdout, with p and P_e evaluated without cancellation at small kappa.
 TABLE_DIGESTS = (
     (("c1", "--grid", "0:1:0.001"),
-     "67e4f8fcf266b63f48131b9c5d916971615e4ac78206434fe54d21a0e60fd1ee"),
+     "af5261c28a01289a0889bc260516e7d7a8f5583eba94dfda5b9cac649fcdfe06"),
     (("c1", "--grid", "0:1:0.001", "--json"),
-     "f1a80b56444152453a2fc82367b75dfd8fe99399f0e8165ca74a82766e351761"),
+     "66430743e07321e44594eb21a984cce3c2bf84b17fae92d58b15d64972913630"),
     (("sweep", "--n", "3,5", "--grid", "0:1:0.01", "--json"),
-     "9e29ec13656403771509fe3013bab0fef38442a0a16965a6668b2da90ae5c277"),
+     "ae6f3143988036cd92e1fdec5bba3a84459ea000ef9843f4d84ec7476df6c4a4"),
 )
 
 
@@ -666,6 +666,41 @@ def test_synthesize_network_check_can_fail(tmp_path, capsys, monkeypatch, which)
     assert out == ""
     assert err.splitlines() == ["verification failed: gate network does not reproduce the SRM"]
     assert not out_dir.exists()
+
+
+def _count_srm_builds(monkeypatch):
+    calls = []
+    build = syn.srm_vectors
+    monkeypatch.setattr(syn, "srm_vectors", lambda *a: calls.append(a) or build(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name,link", [("file", None), ("file/", None), ("link", "file"),
+                                       ("dangling", "missing")])
+def test_synthesize_refuses_an_out_file_before_the_srm_build(tmp_path, capsys, monkeypatch,
+                                                             name, link):
+    # an --out that exists and is no directory gets the error os.makedirs raises,
+    # before any SRM vector is built, and the file is left as it was
+    target = tmp_path / "file"
+    target.write_bytes(b"kappa,p,c1,holevo\n")
+    if link:
+        (tmp_path / name).symlink_to(tmp_path / link)
+    out = f"{tmp_path}/{name}"
+    with pytest.raises(FileExistsError) as made:
+        os.makedirs(out, exist_ok=True)
+    calls = _count_srm_builds(monkeypatch)
+    status, stdout, err = _run(capsys, "synthesize", "--n", "9", "--kappa", "0.5", "--out", out)
+    assert (status, stdout, err) == (2, "", f"error: {made.value}\n")
+    assert len(calls) == 0 and target.read_bytes() == b"kappa,p,c1,holevo\n"
+
+
+def test_synthesize_other_out_errors_keep_their_place(tmp_path, capsys, monkeypatch):
+    # a path below a file is not an existing --out: os.makedirs refuses it after the build
+    (tmp_path / "file").write_text("")
+    calls = _count_srm_builds(monkeypatch)
+    status, _, err = _run(capsys, "synthesize", "--n", "3", "--kappa", "0.5",
+                          "--out", str(tmp_path / "file" / "sub"))
+    assert status == 2 and "Not a directory" in err and len(calls) == 1
 
 
 def test_gatecheck_defaults(capsys):

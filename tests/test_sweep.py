@@ -19,12 +19,12 @@ MARGIN_3_05 = -0.07886457185015829
 MARGIN_3_09 = 0.00784899416941147
 PE_3_08 = 0.2305198314607111
 
-# sha256 of the CSV for the paper's two figure grids, as the per-point
-# implementation wrote it before overlaps became an array axis.
+# sha256 of the CSV for the paper's two figure grids, with p and P_e evaluated
+# without cancellation at small kappa (test_digit_contract checks their digits).
 FIGURE_DIGESTS = (
-    ([3], "0:1:0.001", "ef28fe56e657728ad1c469ad14ee931002c93b2de806189e4820f367b9b56d89"),
+    ([3], "0:1:0.001", "2626a6980ebb68a2c29d352b83040012e0918db74c6d68212266398b0d877dac"),
     ([5, 7, 9, 11, 13], "0.5:0.99:0.005",
-     "f5f3d11e636cbd7e74a533fdd14795a9878385a7c7f309f7ea97fa5a2c4ce351"),
+     "d88e436ea6bb1a151e317f139212baade694d279cab94a67a08be9ca36f8c1fb"),
 )
 
 
@@ -65,9 +65,10 @@ def test_block_length_checked_at_the_endpoints_too():
         sweep.superadditivity_margin(3, 0.5, codebook_choice="odd")
 
 
-@pytest.mark.parametrize("ns,spec,digest", FIGURE_DIGESTS)
+@pytest.mark.parametrize("ns,spec,digest", FIGURE_DIGESTS, ids=["n3", "n5-13"])
 def test_figure_tables_byte_identical(ns, spec, digest):
-    text = sweep.CSV_HEADER + "\n" + sweep.rows_to_csv(sweep.sweep_table(ns, cli._parse_grid(spec)))
+    rows = sweep.sweep_table(ns, cli._parse_grid(spec))
+    text = ",".join(sweep.SweepRow._fields) + "\n" + sweep.rows_to_csv(rows)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

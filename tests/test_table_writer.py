@@ -80,7 +80,7 @@ def test_sweep_chunks_are_byte_identical_to_one_call(tmp_path, capsys, monkeypat
                                                      calls):
     spec = _spec(points)
     rows = sweep.sweep_table(ns, cli._parse_grid(spec))
-    csv = sweep.CSV_HEADER + "\n" + sweep.rows_to_csv(rows)
+    csv = ",".join(sweep.SweepRow._fields) + "\n" + sweep.rows_to_csv(rows)
     lines = "".join(json.dumps(r._asdict()) + "\n" for r in rows)
     made = _count_calls(monkeypatch)
     texts = _outputs(capsys, tmp_path, ["sweep", "--n", ",".join(map(str, ns)), "--grid", spec])
@@ -170,7 +170,7 @@ def test_failure_after_the_first_chunk_follows_its_rows_on_stdout(capsys, monkey
     with pytest.raises(ConsistencyError):
         cli.main(["sweep", "--n", "3", "--grid", _spec(CHUNK + 1)])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == sweep.CSV_HEADER and len(lines) == 1 + CHUNK
+    assert lines[0] == ",".join(sweep.SweepRow._fields) and len(lines) == 1 + CHUNK
 
 
 # Prints the child's own peak resident set (VmHWM, kB) after cli.main returns.
