@@ -144,7 +144,7 @@ def _cmd_threshold(args):
 
         print(json.dumps(result._asdict()))
     else:
-        print("none" if result.kappa_star is None else sweep._fmt(result.kappa_star))
+        print("none" if result.kappa_star is None else sweep._FIELD % result.kappa_star)
     return EXIT_OK
 
 
@@ -172,8 +172,8 @@ def _cmd_synthesize(args):
     _atomic_write(os.path.join(args.out, "network.txt"), [synthesis.network_to_text(gates)])
     # the even-weight channel is symmetric: every P(w|w) is 1 - P_e
     _, pe = sqrm.even_weight_summary(args.n, args.kappa)
-    hit = sweep._fmt(1.0 - pe)
-    print(f"P_e {sweep._fmt(pe)}")
+    hit = sweep._FIELD % (1.0 - pe)
+    print(f"P_e {sweep._FIELD % pe}")
     for w in book.words:
         print(f"P({w}|{w}) {hit}")
     return EXIT_OK
@@ -184,7 +184,7 @@ def _cmd_gatecheck(args):
 
     result = cavityqed.solve_sequence_params(args.g, args.delta, args.nu)
     print(result["params"].to_text(), end="")
-    print(f"fidelity {sweep._fmt(result['fidelity'])}")
+    print(f"fidelity {sweep._FIELD % result['fidelity']}")
     print(f"invariant_distance {result['invariant_distance']:.3e}")
     print(f"leakage {result['leakage']:.3e}")
     checks = (

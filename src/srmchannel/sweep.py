@@ -111,7 +111,8 @@ def _bisection_edges(lo, hi):
 def threshold_kappa(n, tolerance=1e-4):
     """Locate the onset of superadditivity adjoining ``kappa = 1``.
 
-    A coarse scan finds the last sign change below the superadditive region;
+    A coarse scan finds the first change from <= 0 to > 0, since rounding
+    can flip the sign near ``kappa = 1`` where both margin terms vanish;
     bisection then shrinks the bracket until it is no wider than
     ``tolerance``.  Each round evaluates, in one margin call, the
     ``2**_BISECT_LEVELS - 1`` midpoints that the next ``_BISECT_LEVELS``
@@ -133,7 +134,7 @@ def threshold_kappa(n, tolerance=1e-4):
     onsets = np.flatnonzero((margins[1:] > 0.0) & (margins[:-1] <= 0.0))
     if not onsets.size:
         return ThresholdResult(n=n, kappa_star=None, bracket_width=_SCAN_STEP)
-    lo, hi = grid[onsets[-1]], grid[onsets[-1] + 1]
+    lo, hi = grid[onsets[0]], grid[onsets[0] + 1]
     while hi - lo > tolerance:
         edges = _bisection_edges(lo, hi)
         positive = (superadditivity_margin(n, edges[1:-1]) > 0.0).tolist()
@@ -167,10 +168,6 @@ def sweep_table(n_list, kappa_grid, codebook_choice="even"):
         columns = (kappa, c1, per_letter, per_letter - c1, pe, p_single, holevo)
         rows += map(SweepRow._make, zip(repeat(n), *(c.tolist() for c in columns)))
     return rows
-
-
-def _fmt(value):
-    return _FIELD % value
 
 
 def rows_to_csv(rows):

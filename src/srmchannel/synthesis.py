@@ -16,11 +16,10 @@ Hilbert space (``gram_schmidt_completion``), transposed.
 The Givens functions factor such a V into two-level rotations
 (``two_level_decompose``, undone by ``recompose``) and compile them
 (``factor_to_gates``) into fully controlled flips (Gray-code mapping), one
-y-rotation and the mapping undone, with plain flips that change one X
-frame, carried across the whole network, only where 0-controls change.  No
-command runs them.  They stay here only because per-layer benchmark metrics
-name them, until those metrics name stages; the tests compose them into
-the reference decoder.
+y-rotation and the mapping undone, each wrapped in plain flips of the wires
+that hold 0 in its basis state.  No command runs them.  They stay here only
+because per-layer benchmark metrics name them, until those metrics name
+stages; the tests compose them into the reference decoder.
 
 A network is built from two gate types, a rotation R_y(angle) and a flip
 sigma_x, each on a target wire under a set of control wires.  One simulator
@@ -58,7 +57,7 @@ __all__ = [
 # behind v.txt is 2**n x 2**n: at 9 wires, kappa 0.5, on a 2-core host with
 # one BLAS thread, its Gram-Schmidt takes 0.22-0.31 s, synthesize
 # 0.71-0.90 s, and its text is 5.8 MB.  factor_to_gates on such a basis
-# emits O(4**n n) gates, 0.85 million at 9 wires.
+# emits O(4**n n**2) gates, 8.6 million for a random rotation at 9 wires.
 MAX_WIRES = 9
 
 _OMIT_BELOW = 1e-12
@@ -194,16 +193,6 @@ def recompose(d, factors):
     return out
 
 
-def _x_run(frame, want, n):
-    """Uncontrolled flips taking the X frame (a wire mask) from ``frame`` to ``want``."""
-    change, run = frame ^ want, []
-    while change:
-        w = n - change.bit_length()  # the lowest wire left to flip
-        run.append(ControlledFlip((), w))
-        change ^= 1 << (n - 1 - w)
-    return run
-
-
 def factor_to_gates(factors, n):
     """Compile two-level rotations, listed in the order they act, into one
     gate network.
@@ -212,14 +201,12 @@ def factor_to_gates(factors, n):
     time, highest-order differing bit first, keeping the lowest differing
     bit as the rotation target; each flip is controlled on the current
     values of all other wires.  The mapped pair differs in one bit, where a
-    multi-controlled R_y(2 gamma) acts; the mapping is then undone.  Wires
-    holding 0 are flipped by one X frame, carried from factor to factor and
-    changed only where the next gate needs it, then cleared at the end.  A
-    mapping flip may keep its own target flipped, except the first flip of
-    a factor, which clears what the previous factor left there.
+    multi-controlled R_y(2 gamma) acts; the mapping is then undone.  Each
+    gate is wrapped in plain flips of the wires that hold 0 in its basis
+    state, so that every control reads 1 (Barenco et al., PRA 52, 3457).
     """
     _check_wires(n, "gate compilation")
-    gates, frame = [], 0
+    gates = []
     for factor in factors:
         i, j = factor.i, factor.j
         if not 0 <= i < j < 2**n:
@@ -233,15 +220,11 @@ def factor_to_gates(factors, n):
         # current and j now differ only in the target wire
         angle = -2.0 * factor.gamma if current >> (n - 1 - target) & 1 else 2.0 * factor.gamma
         for k, (w, state) in enumerate(mapping + [(target, current)] + mapping[::-1]):
-            tbit, rotation = 1 << (n - 1 - w), k == len(mapping)
-            keep = 0 if rotation or k == 0 else frame & tbit
-            want = ~state & ((1 << n) - 1) & ~tbit | keep
-            gates += _x_run(frame, want, n)
-            frame = want
             others = tuple(c for c in range(n) if c != w)
-            gates.append(ControlledRotation(others, w, angle) if rotation
-                         else ControlledFlip(others, w))
-    return gates + _x_run(frame, 0, n)
+            zeros = [ControlledFlip((), c) for c in others if not state >> (n - 1 - c) & 1]
+            gates += zeros + [ControlledRotation(others, w, angle) if k == len(mapping)
+                              else ControlledFlip(others, w)] + zeros[::-1]
+    return gates
 
 
 def fourier_network(n, kappa):

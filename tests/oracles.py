@@ -95,10 +95,10 @@ def decoder_network(codebook, kappa):
 
     Returns ``(v, d, factors, gates)``.  Gates apply left to right; since
     V = D T_1 ... T_K acts with T_K first, the factors are compiled in
-    reverse order into one network with one X frame.  D = I for the
-    even-weight code: V^T = L^(x n) P R with det L > 0 (L = [plus | minus]),
-    P the even-weight-first word order (an even permutation), and R the
-    inverse Gram root and Gram-Schmidt normalizers (block triangular, det R > 0).
+    reverse order into one network.  D = I for the even-weight code:
+    V^T = L^(x n) P R with det L > 0 (L = [plus | minus]), P the
+    even-weight-first word order (an even permutation), and R the inverse
+    Gram root and Gram-Schmidt normalizers (block triangular, det R > 0).
     """
     v = syn.gram_schmidt_completion(syn.srm_vectors(codebook, kappa), codebook, kappa).T
     d, factors = syn.two_level_decompose(v)
@@ -342,7 +342,7 @@ def even_weight_summary_recurrence(n, kappa):
 
 def threshold_kappa_sequential(n, tolerance):
     """``sweep.threshold_kappa`` as a bisection that probes one midpoint per
-    margin call: the same coarse scan and last-sign-change bracket, then
+    margin call: the same coarse scan and first-onset bracket, then
     ``mid = 0.5 * (lo + hi)`` until the bracket is no wider than
     ``tolerance``.  The batched search must agree with it bit for bit."""
     grid = np.arange(sweep._SCAN_STEP, sweep._KAPPA_CEIL + 1e-12, sweep._SCAN_STEP)
@@ -350,7 +350,7 @@ def threshold_kappa_sequential(n, tolerance):
     onsets = np.flatnonzero((margins[1:] > 0.0) & (margins[:-1] <= 0.0))
     if not onsets.size:
         return sweep.ThresholdResult(n=n, kappa_star=None, bracket_width=sweep._SCAN_STEP)
-    lo, hi = grid[onsets[-1]], grid[onsets[-1] + 1]
+    lo, hi = grid[onsets[0]], grid[onsets[0] + 1]
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
         if sweep.superadditivity_margin(n, mid) > 0.0:
@@ -358,34 +358,6 @@ def threshold_kappa_sequential(n, tolerance):
         else:
             lo = mid
     return sweep.ThresholdResult(n=n, kappa_star=0.5 * (lo + hi), bracket_width=hi - lo)
-
-
-def factor_to_gates_conjugated(factor, n):
-    """One two-level rotation compiled gate by gate: the Gray-code mapping
-    flips, the rotation and the mapping undone, each fully controlled and
-    wrapped in its own uncontrolled flips on the wires where its basis state
-    holds 0.  ``synthesis.factor_to_gates`` on a list of factors must emit
-    the same controlled gates in the same order as these networks laid end to
-    end, and its network must give the same unitary bit for bit."""
-
-    def bit(index, wire):
-        return (index >> (n - 1 - wire)) & 1
-
-    def conjugated(make, current, target):
-        zero = [syn.ControlledFlip((), w) for w in range(n) if w != target and not bit(current, w)]
-        controls = tuple(w for w in range(n) if w != target)
-        return zero + [make(controls, target)] + zero[::-1]
-
-    diff = [w for w in range(n) if bit(factor.i, w) != bit(factor.j, w)]
-    target = diff[-1]
-    mapping = []
-    current = factor.i
-    for w in diff[:-1]:
-        mapping.extend(conjugated(syn.ControlledFlip, current, w))
-        current ^= 1 << (n - 1 - w)
-    angle = 2.0 * factor.gamma if bit(current, target) == 0 else -2.0 * factor.gamma
-    core = conjugated(lambda c, t: syn.ControlledRotation(c, t, angle), current, target)
-    return mapping + core + mapping[::-1]
 
 
 def _embed(op, systems, dims):

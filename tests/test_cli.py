@@ -617,8 +617,8 @@ def test_synthesize_stdout_matches_dense_route(tmp_path, capsys, n):
                               "--out", str(tmp_path / "net"))
         assert status == 0
         x = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
-        dense = [f"P_e {sweep._fmt(average_error_probability(x))}"] + [
-            f"P({w}|{w}) {sweep._fmt(x[m, m] ** 2)}" for m, w in enumerate(book.words)]
+        dense = [f"P_e {sweep._FIELD % average_error_probability(x)}"] + [
+            f"P({w}|{w}) {sweep._FIELD % x[m, m] ** 2}" for m, w in enumerate(book.words)]
         assert out.splitlines() == dense, kappa
 
 

@@ -8,6 +8,10 @@ terms near 1 bit that agree to 9 digits or more at n = 9, 11, 13 and
 kappa >= 0.945, where no double-precision evaluation gets its 9th digit (17
 fields); ROADMAP item 2 plans the error bound and the high-precision
 re-evaluation that would bring it in.
+
+The same mpmath route bisects the exact margin for the onset that
+``threshold`` reports, at block lengths past the cap, where rounding near
+kappa = 1 makes spurious sign changes in the float margin.
 """
 
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -15,7 +19,7 @@ from math import comb
 
 import pytest
 
-from srmchannel import cli
+from srmchannel import cli, codebook, sweep
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -111,3 +115,24 @@ def test_figure_table_is_correctly_rounded_except_margin(capsys, ns, spec):
                     "p_single": p, "holevo": holevo}
 
         assert _misrounded(text, reference) == []
+
+
+@pytest.mark.parametrize("n", [22, 26, 30])
+def test_threshold_is_the_first_onset_past_the_cap(monkeypatch, n):
+    # the float margin changes sign again near kappa = 1 at these n; the onset
+    # is the exact margin's one sign change, between 0.05 and 0.5
+    monkeypatch.setattr(codebook, "MAX_BLOCK_LENGTH", 40)
+    result = sweep.threshold_kappa(n)
+    with mpmath.workdps(DPS):
+        table = _krawtchouk(n)
+
+        def margin(kappa):
+            return _even_weight(n, kappa, table)[0] / n - _single_letter(kappa)[1]
+
+        lo, hi = mpmath.mpf("0.05"), mpmath.mpf("0.5")
+        assert margin(lo) < 0 < margin(hi)
+        while hi - lo > 1e-9:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if margin(mid) > 0 else (mid, hi)
+    half = result.bracket_width / 2
+    assert result.kappa_star - half <= lo and hi <= result.kappa_star + half

@@ -267,6 +267,37 @@ def test_factor_gates_random(seed):
     assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
 
 
+@pytest.mark.parametrize("n, count", [(3, 90), (4, 672), (5, 4407), (6, 26810)])
+def test_decoder_gate_counts(n, count):
+    _, _, _, gates = decoder_network(cb.even_weight_codebook(n), 0.8)
+    assert len(gates) == count
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra; without it this one property test is skipped
+    def test_compiled_factors_equal_recompose():
+        pytest.skip("hypothesis is not installed")
+else:
+    @st.composite
+    def _factor_lists(draw):
+        n = draw(st.integers(1, 5))
+        factors = []
+        for _ in range(draw(st.integers(0, 12))):
+            i, j = sorted(draw(st.lists(st.integers(0, 2**n - 1), min_size=2, max_size=2,
+                                        unique=True)))
+            gamma = draw(st.floats(-np.pi, np.pi, allow_nan=False))
+            factors.append(syn.TwoLevelFactor(i=i, j=j, gamma=gamma))
+        return n, factors
+
+    @settings(max_examples=80, deadline=None)
+    @given(_factor_lists())
+    def test_compiled_factors_equal_recompose(case):
+        n, factors = case
+        u = syn.simulate_network(syn.factor_to_gates(factors[::-1], n), n)
+        assert np.max(np.abs(u - syn.recompose(np.ones(2**n), factors))) < 1e-12
+
+
 @pytest.mark.parametrize("theta", [0.8, np.pi, 1.9 * np.pi, 2 * np.pi - 1e-9, 2 * np.pi, -2 * np.pi])
 def test_expand_network_doubly_controlled_rotation(theta):
     net = expand_network([syn.ControlledRotation((0, 1), 2, theta)])
@@ -478,55 +509,55 @@ def test_serialization_rejects_generic_core():
 GIVENS_DIGESTS = {
     (0.5, 3): (
         "aac36fb4e9563f69384ca5d67021401a792a8e04244154114deaae48879996aa",
-        "6b528a98e05f30b3809827cdd06f1404eb3bd70061519dcfa83be81090ec8fea",
+        "6e1cb8f40d28901f5f5eef9f7527c68296d7d2d5cc57b50ae5d440fc900cf2cb",
     ),
     (0.5, 4): (
         "672f1a0b746b7014ce3e66ed9ada6d5f3bed3902758d1e5f3fdee920f4234937",
-        "2fe9cf500ef7c71f3c2c1b819f8302fda068a4f70998bd68faeb86c316e4d7a1",
+        "10972995bff2b7a21cbec5e24464c55b33c6bb4769d8250a53ea6c5e93729fb4",
     ),
     (0.5, 5): (
         "b4e17a73dd01a8f043988826b79eb03dba77b9df2340813fecb2a66ab1fe865b",
-        "07655c26a626c57558275acb686341ee1467f3c60a1295f8e75e61e9bb6abb00",
+        "d2096e46f58ce14ee76a30d29986f2914dccdde15c00b5c7bdcb1a3341a9b1a3",
     ),
     (0.5, 6): (
         "6966d8c6f9a170f50ae2180bf8b6775993db7608cdd7c6f31e71d66d852002ff",
-        "35a678da001494d6940f79db776742735130e186387967da1e84a66b80af3607",
+        "d5a573173d33a4d638a7764b9cd527cedecc05041c3307143b5b18f468e32e71",
     ),
     (0.8, 3): (
         "e8321b94071f3ece4b3631b500a3af7ef68f426e279de0e1f4666520c611bbbe",
-        "b3f3ce65a6b8718b0bc872e7cfa7cb13ff6f192b0541d7e58db13dbb0800a032",
+        "4e5a7d0130cbb9718588959dbb3fd7c699323787d89f4c6daf4ff7aa7c3a9bbc",
     ),
     (0.8, 4): (
         "fc256d35742542c0b62aa1674ddb80e7ec6c9d099d3e4ccf63630751dd768cb6",
-        "b6652f1cb75a2d932a2f37bd069b8ae2c401e672b29648cab9a87ce088b8478a",
+        "1ce3a986026ee6bb9ed0c79c5c23dbe73cbf7c5f78d2e8f7496083812cedc53c",
     ),
     (0.8, 5): (
         "3bccb4057560da479c4d5571f3ffafb12b1d5f4ee75f3a7b6131c73d75b974bc",
-        "f0eab7a6a552ce39973a4d25a383e270c7b6d58ccbf968fc862cb0a77fe6060d",
+        "9d7aba4c473116772d386ca7a3f94c19225982fba5d5616cda9295d62d3ec53f",
     ),
     (0.8, 6): (
         "d4b6278e83571f87e09225bee3380f03f3f36424dab8187b6c25163349752aa0",
-        "008a2427a66ac2f2d4292fbe5ea1496a6159a1460e22a802f29ac2e81927c16e",
+        "036a160d3b6204c808de8bd2ac533d834e54d409012daa594d94e78a496d10b1",
     ),
     (0.8, 7): (
         "58c658f5df12701456d6b0ae81aa5d88e3900335ba3874eeb7513c463f8d17d3",
-        "4ad27f4de3089fc3dc0fbc19a0af5095aae51053bb9b24ead98cfbfffb39a272",
+        "1a68556a4bfd2f405699285a0e1cb58db9b9b67570e9fe6ddaebc654731f8743",
     ),
     (0.9, 3): (
         "f83a1fdf5c72e9180650bb67d25aaf52a66fc120ee88464795af5f7ff4052b29",
-        "f145a8385cb700c0cb83042e3cb1ac388c478a2ff8559d4640d8c908b983de76",
+        "f79d874a06969f48fc1ebb38ca437cb43cdcaea377e52dd136ff3a84c4290be5",
     ),
     (0.9, 4): (
         "c59db76fc9cf6d6db077a25781fa402aecd3b457a5ded1840fd5d3bde14ef703",
-        "5a06752a9121cd26fefe86f7a53bf5862d476b581b323a17199f9d6cba1df2ee",
+        "c881f3a777ab66171fd6e48d6e4f0e7313a68a373331c0d075c1945780ff821c",
     ),
     (0.9, 5): (
         "c9f1d6d7a3b80c1ce82b9c6dccafe56db1930864c28425a354a40b2abbbf8dcf",
-        "c8fde9d4afe2040b6cb74f9b18a5aaac0410c175f21668bb22d8d81a2d720ae1",
+        "6e0c1e6a11ebbe5a66b30e433634e1b10fd1b770277f3d0b28ef9975e31f631c",
     ),
     (0.9, 6): (
         "6d9505990ccf1c10bd2d643cc52f6f9b5639c6cd09c0cdb3b4f7267a82aa314f",
-        "6d7285a7875d8f891718dd770f648fde4a082b9b117a58ddf43b8408cb26e3f6",
+        "5d04f0d000c2bdfeddcdc8665308e2c4ffd8b785ee266341fad22b8cd26b9152",
     ),
 }
 
