@@ -151,8 +151,6 @@ def _cmd_threshold(args):
 def _cmd_synthesize(args):
     from . import synthesis
 
-    if not 0.0 < args.kappa < 1.0:
-        raise DomainError("synthesis requires 0 < kappa < 1")
     # first, so its width and block-length checks come before any other work
     gates = synthesis.fourier_network(args.n, args.kappa)
     # then the refusal os.makedirs gives an --out that exists and is no directory

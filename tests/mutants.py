@@ -55,6 +55,13 @@ MUTANTS = (
            "if count * blocks > MAX_GRID_POINTS:", ("tests/test_cli.py",)),
     Mutant("cli.py", "except (DomainError, OSError) as exc:", "except OSError as exc:",
            ("tests/test_cli_property.py",)),
+    Mutant("cavityqed.py", "if off > 1e-6:", "if off > 1e6:", ("tests/test_cavityqed.py",)),
+    Mutant("sqrm.py", "if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:",
+           "if gram.ndim != 2:", ("tests/test_sqrm.py",)),
+    Mutant("sqrm.py", "gram.T, atol=1e-12)", "gram.T, atol=1.0)", ("tests/test_sqrm.py",)),
+    Mutant("sqrm.py", "if m & (m - 1):", "if False:", ("tests/test_sqrm.py",)),
+    Mutant("synthesis.py", "if not 0 <= i < j < 2**n:", "if not 0 <= i < j <= 2**n:",
+           ("tests/test_synthesis.py",)),
 )
 
 

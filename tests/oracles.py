@@ -1,6 +1,6 @@
 """Reference computations the tests compare the library against.
 
-No command, demo or benchmark needs them, so they live with the tests.  Two
+No command, demo or benchmark needs them, so they live with the tests.  Three
 are whole routes:
 
 - the dense SRM channel, ``conditional_probabilities`` and
@@ -9,7 +9,10 @@ are whole routes:
 - the Givens decoder, ``decoder_network``, which composes the library's
   Gram-Schmidt completion, two-level factorization and gate compiler, and
   its exact one-control rewrite ``expand_network`` with the complex gate
-  type ``ControlledUnitary``.
+  type ``ControlledUnitary``;
+- the exact even-weight route, ``even_weight_root`` (the Gram root as a
+  Krawtchouk sum, in doubles or in mpmath), with its mpmath summary and onset
+  bisection; mpmath is imported only inside the functions that use it.
 
 The 2x2 matrix of each gate is defined here alone, by ``gate_core``:
 R_y(angle) (``ry_matrix``) for a ``ControlledRotation``, sigma_x for a
@@ -19,6 +22,8 @@ it, so it is the only route for networks with complex cores, which the
 library's simulator refuses.
 """
 
+import functools
+import math
 from math import comb
 from typing import NamedTuple
 
@@ -338,6 +343,69 @@ def even_weight_summary_recurrence(n, kappa):
     info, pe = sqrm._symmetric_summary(q, multiplicity)
     same = kappa == 1.0
     return np.where(same, 0.0, info)[()], np.where(same, 1.0 - 2.0 ** (1 - n), pe)[()]
+
+
+@functools.cache
+def krawtchouk(n):
+    """K_k(w) for k = 0..n at each even w, summed from binomials,
+    K_k(w) = sum_j (-1)**j C(w, j) C(n - w, k - j) (MacWilliams & Sloane,
+    ch. 5); the engine takes them by recurrence.  Exact integers."""
+    return {w: [sum((-1) ** j * comb(w, j) * comb(n - w, k - j) for j in range(k + 1))
+                for k in range(n + 1)] for w in range(0, n + 1, 2)}
+
+
+def even_weight_root(n, kappa, ctx=math):
+    """Principal Gram root entry of the even-weight code at each even distance w,
+    {w: 2**-n sum_k sqrt(lambda_k) K_k(w)}, with lambda_k = [(1+kappa)^(n-k)
+    (1-kappa)^k + (1-kappa)^(n-k) (1+kappa)^k] / 2 the Gram eigenvalue at the
+    characters of weight k; in ``math`` doubles or at mpmath's working precision."""
+    kappa = getattr(ctx, "mpf", float)(kappa)
+    a, b = 1 + kappa, 1 - kappa
+    roots = [ctx.sqrt((a ** (n - k) * b**k + b ** (n - k) * a**k) / 2) for k in range(n + 1)]
+    return {w: ctx.fsum(r * c for r, c in zip(roots, row)) / 2**n
+            for w, row in krawtchouk(n).items()}
+
+
+def even_weight_summary_mp(n, kappa):
+    """(information, P_e) of the even-weight code under the SRM in mpmath: the
+    channel is symmetric with P(j|i) = x_w**2 at distance w, so the information
+    is n - 1 + sum_w C(n, w) x_w**2 log2 x_w**2 and P_e = 1 - x_0**2."""
+    import mpmath
+
+    root = even_weight_root(n, kappa, mpmath)
+    terms = (comb(n, w) * x**2 * mpmath.log(x**2, 2) for w, x in root.items() if x)
+    return n - 1 + mpmath.fsum(terms), 1 - root[0] ** 2
+
+
+def single_letter_mp(kappa):
+    """(p, C1, Holevo limit) at overlap ``kappa`` in mpmath, in the textbook forms
+    p = (1 - sqrt(1 - kappa^2)) / 2, C1 = 1 - h(p) and h((1 - kappa) / 2)."""
+    import mpmath
+
+    def entropy(p):
+        return -mpmath.fsum(q * mpmath.log(q, 2) for q in (p, 1 - p) if q)
+
+    kappa = mpmath.mpf(kappa)
+    p = (1 - mpmath.sqrt(1 - kappa**2)) / 2
+    return p, 1 - entropy(p), entropy((1 - kappa) / 2)
+
+
+def onset_mp(n, lo, hi):
+    """Bracket (lo, hi), no wider than 1e-9, of the sign change of the exact
+    margin I_n / n - C1, bisected in mpmath from where it is negative (``lo``)
+    to where it is positive (``hi``)."""
+    import mpmath
+
+    def margin(kappa):
+        return even_weight_summary_mp(n, kappa)[0] / n - single_letter_mp(kappa)[1]
+
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    if not margin(lo) < 0 < margin(hi):
+        raise ValueError(f"the exact margin at n = {n} does not change sign from {lo} to {hi}")
+    while hi - lo > 1e-9:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if margin(mid) > 0 else (mid, hi)
+    return lo, hi
 
 
 def threshold_kappa_sequential(n, tolerance):

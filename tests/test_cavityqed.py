@@ -316,6 +316,17 @@ def test_local_class_fidelity_matches_two_frame_scan():
         assert abs(cq.local_class_fidelity(block) - local_class_fidelity_two_frames(block)) < 1e-15
 
 
+def test_local_class_fidelity_is_zero_off_the_block_diagonal():
+    # a block that mixes the control atom's states is no controlled operation;
+    # coupling up to 1e-6 is taken as rounding
+    for entry in ((0, 2), (3, 1)):
+        block = np.eye(4, dtype=complex)
+        block[entry] = 1e-3
+        assert cq.local_class_fidelity(block) == 0.0, entry
+        block[entry] = 1e-7
+        assert cq.local_class_fidelity(block) > 0.5, entry
+
+
 def _controlled_from_gate(gate):
     out = np.eye(4, dtype=complex)
     out[2:, 2:] = gate.core

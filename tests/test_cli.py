@@ -631,13 +631,22 @@ def test_synthesize_byte_identical_reruns(tmp_path, capsys):
 
 
 def test_synthesize_degenerate_kappa(tmp_path, capsys):
-    # synthesis needs 0 < kappa < 1; every other overlap, nan and inf included,
-    # is refused with one line before the output directory exists
-    for kappa in ("0", "1", "-0.1", "1.5", "nan", "inf"):
+    # the overlap rule of the other subcommands: kappa = 0 (or -0) is the
+    # noiseless code, kappa = 1 has a singular Gram matrix, and any other
+    # overlap outside [0, 1], nan and inf included, is refused with one line
+    # before the output directory exists
+    words = cb.even_weight_codebook(3).words
+    for kappa in ("0", "-0"):
+        status, out, _ = _run(capsys, "synthesize", "--kappa", kappa, "--out", str(tmp_path / "ok"))
+        assert status == 0, kappa
+        assert out.splitlines() == ["P_e 0"] + [f"P({w}|{w}) 1" for w in words], kappa
+    refusals = {"1": "singular", **dict.fromkeys(("-0.1", "1.5", "nan", "inf"),
+                                                 "overlap must lie in [0, 1]")}
+    for kappa, message in refusals.items():
         out_dir = tmp_path / "x"
         status, _, err = _run(capsys, "synthesize", "--kappa", kappa, "--out", str(out_dir))
         assert status == 2, kappa
-        assert len(err.splitlines()) == 1 and "kappa" in err, kappa
+        assert len(err.splitlines()) == 1 and message in err, kappa
         assert not out_dir.exists(), kappa
 
 

@@ -6,11 +6,14 @@ options may be missing) and, for an option with choices, those choices.
 Values come from an edge pool (``nan``, ``inf``, ``-0``, ``1e-320``,
 ``1e308``, ``0``, ``1``, ``0.999999``, ``3,``, integers past any limit) or
 are plain values of the option's kind; a grid has at most 10**4 points at
-each block length unless the CLI refuses it unbuilt.  Each argv runs in
-process through ``cli.main`` and must exit 0, 2, 3 or 4 without an
-exception escaping; any nonzero exit but argparse's own usage error writes
-exactly one stderr line; an exit-0 run writes the same stdout bytes (and
-``--out`` file bytes) when called again.
+each block length unless the CLI refuses it unbuilt.  ``--out`` is a file,
+the output directory, a path in a missing directory, a symlink to a file,
+one to the output directory, a dangling one and, unless the tests run as
+root (whom permission bits do not bind), a path in a directory without write
+permission.  Each argv runs in process through ``cli.main`` and must exit 0,
+2, 3 or 4 without an exception escaping; any nonzero exit but argparse's own
+usage error writes exactly one stderr line; an exit-0 run writes the same
+stdout bytes (and ``--out`` file bytes) when called again.
 
 ``synthesize`` is left out: inside its ``ConsistencyError`` region (for
 example ``--n 6 --kappa 0.95``) it escapes with a traceback and exit 1.
@@ -22,6 +25,7 @@ import argparse
 import contextlib
 import io
 import os
+import pathlib
 
 import pytest
 
@@ -34,6 +38,13 @@ COMMANDS = ("c1", "sweep", "threshold", "gatecheck")
 EDGES = ("nan", "inf", "-0", "1e-320", "1e308", "0", "1", "0.999999", "3,",
          str(2**64), str(10**400))
 MAX_TEST_POINTS = 10**4
+# --out relative to the output directory ("" is the directory itself); permission
+# bits do not bind root, so a root run draws no path in the locked directory
+OUT_PATHS = ("table.csv", "", os.path.join("missing", "table.csv"), "file-link", "dir-link",
+             "dangling") + ((os.path.join("locked", "table.csv"),) if os.geteuid() else ())
+# the files a run may write there: a table, the link's target, the dangling link's name
+WRITTEN = ("table.csv", "linked.csv", "nowhere.csv")
+LINKED = "the file the link points to\n"
 
 
 def _edge_or(plain):
@@ -92,8 +103,7 @@ def _argv(draw, out_dir):
         if action.choices:
             value = draw(_edge_or(st.sampled_from(action.choices)))
         elif action.dest == "out":
-            value = draw(st.sampled_from([os.path.join(out_dir, "table.csv"), out_dir,
-                                          os.path.join(out_dir, "missing", "table.csv")]))
+            value = os.path.join(out_dir, draw(st.sampled_from(OUT_PATHS)))
         elif action.dest == "grid":
             value = draw(_grid())
         elif action.dest == "n":
@@ -108,18 +118,26 @@ def _call(argv, out_dir):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = cli.main(argv)
-    table = os.path.join(out_dir, "table.csv")
-    written = None
-    if os.path.exists(table):
-        with open(table) as fh:
-            written = fh.read()
-        os.remove(table)
+    written = []
+    for name in WRITTEN:  # each file as the run left it, then put back as it was
+        path = pathlib.Path(out_dir, name)
+        written.append(path.read_text() if path.exists() else None)
+        if name == "linked.csv":
+            path.write_text(LINKED)
+        else:
+            path.unlink(missing_ok=True)
     return status, out.getvalue(), err.getvalue(), written
 
 
 @pytest.fixture(scope="module")
 def out_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("out"))
+    path = tmp_path_factory.mktemp("out")
+    (path / "linked.csv").write_text(LINKED)
+    (path / "file-link").symlink_to(path / "linked.csv")
+    (path / "dir-link").symlink_to(path)
+    (path / "dangling").symlink_to(path / "nowhere.csv")
+    (path / "locked").mkdir(mode=0o500)
+    return str(path)
 
 
 def test_every_subcommand_is_drawn_or_named_as_left_out():

@@ -1,7 +1,5 @@
 """Closed-form even-weight engine against an mpmath oracle and the other routes."""
 
-from math import comb
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,12 @@ from srmchannel import codebook as cb
 from srmchannel import sqrm
 from srmchannel.exceptions import DomainError, ResourceError
 
-from oracles import average_error_probability, conditional_probabilities, mutual_information
+from oracles import (
+    average_error_probability,
+    conditional_probabilities,
+    even_weight_summary_mp,
+    mutual_information,
+)
 
 mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
@@ -19,30 +22,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 KAPPAS = (0.001, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 
-def _oracle(n, kappa):
-    """(information, error probability) at 50 digits, Krawtchouk values summed
-    from binomials rather than by recurrence."""
-    with mpmath.workdps(50):
-        kappa = mpmath.mpf(kappa)
-        a, b = 1 + kappa, 1 - kappa
-        roots = [mpmath.sqrt((a ** (n - k) * b**k + b ** (n - k) * a**k) / 2) for k in range(n + 1)]
-        info, q0 = mpmath.mpf(n - 1), None
-        for w in range(0, n + 1, 2):
-            row = sum(
-                roots[k] * sum((-1) ** j * comb(w, j) * comb(n - w, k - j) for j in range(k + 1))
-                for k in range(n + 1)
-            ) / mpmath.mpf(2) ** n
-            q = row**2
-            q0 = q if w == 0 else q0
-            info += comb(n, w) * q * mpmath.log(q, 2)
-        return float(info), float(1 - q0)
-
-
 @pytest.mark.parametrize("n", [3, 8, 13, 16, 20])
 def test_even_weight_summary_matches_mpmath(n):
     for kappa in KAPPAS:
         info, pe = sqrm.even_weight_summary(n, kappa)
-        ref_info, ref_pe = _oracle(n, kappa)
+        with mpmath.workdps(50):
+            ref_info, ref_pe = map(float, even_weight_summary_mp(n, kappa))
         assert abs(info - ref_info) < 1e-13, kappa
         assert abs(pe - ref_pe) < 1e-13, kappa
 

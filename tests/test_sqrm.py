@@ -1,5 +1,3 @@
-from math import comb, sqrt
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from oracles import (
     alternative_codebook,
     average_error_probability,
     conditional_probabilities,
+    even_weight_root,
     even_weight_summary_recurrence,
     holevo_condition_check,
     mutual_information,
@@ -65,6 +64,15 @@ def test_principal_sqrt_rejects_non_psd():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(DomainError):
         sqrm.principal_sqrt(bad)
+
+
+@pytest.mark.parametrize("gram, message", [
+    (np.ones((2, 3)), "square"), (np.ones(4), "square"),
+    (np.array([[1.0, 0.5], [0.4, 1.0]]), "symmetric"),
+], ids=["wide", "vector", "non-symmetric"])
+def test_principal_sqrt_refuses_a_matrix_that_is_no_gram_matrix(gram, message):
+    with pytest.raises(DomainError, match=message):
+        sqrm.principal_sqrt(gram)
 
 
 def test_conditional_probabilities_block3():
@@ -185,6 +193,12 @@ def test_fwht_involution():
     assert np.allclose(sqrm.fwht(sqrm.fwht(values)) / 16.0, values)
 
 
+@pytest.mark.parametrize("length", [3, 6, 12])
+def test_fwht_refuses_a_length_that_is_not_a_power_of_two(length):
+    with pytest.raises(DomainError, match="power of two"):
+        sqrm.fwht(np.ones(length))
+
+
 def test_xor_fast_path_identity_gram():
     book = cb.even_weight_codebook(3)
     eigenvalues, row = sqrm.xor_fast_path(book, 0.0)
@@ -209,18 +223,14 @@ def test_fast_path_matches_dense(n):
 
 
 def test_fast_path_large_block_dense_spot_check():
-    # n = 13 (M = 4096): every entry of the first row against the closed form
-    # 2**-n sum_k sqrt(lambda_k) K_k(w), w the weight of word j, with exact
-    # integer Krawtchouk values K_k(w) = sum_i (-1)**i C(w, i) C(n - w, k - i);
-    # test_fast_path_matches_dense carries the dense cross-check at n <= 8
+    # n = 13 (M = 4096): every entry of the first row against the exact
+    # Krawtchouk route at the weight of word j; test_fast_path_matches_dense
+    # carries the dense cross-check at n <= 8
     n, kappa = 13, 0.8
     book = cb.even_weight_codebook(n)
     _, row = sqrm.xor_fast_path(book, kappa)
-    roots = [sqrt(((1 + kappa) ** (n - k) * (1 - kappa) ** k
-                   + (1 - kappa) ** (n - k) * (1 + kappa) ** k) / 2) for k in range(n + 1)]
-    by_weight = [sum(root * sum((-1) ** i * comb(w, i) * comb(n - w, k - i) for i in range(k + 1))
-                     for k, root in enumerate(roots)) / 2**n for w in range(n + 1)]
-    want = np.array([by_weight[word.count("1")] for word in book.words])
+    root = even_weight_root(n, kappa)
+    want = np.array([root[word.count("1")] for word in book.words])
     assert np.max(np.abs(row - want)) < 1e-12
     assert abs(np.sum(row**2) - 1.0) < 1e-9
 

@@ -9,6 +9,7 @@ from oracles import (
     average_error_probability,
     conditional_probabilities,
     decoder_network,
+    even_weight_root,
     expand_network,
     gate_core,
     gram_schmidt_completion_per_vector,
@@ -265,6 +266,12 @@ def test_factor_gates_random(seed):
     f = syn.TwoLevelFactor(i=int(i), j=int(j), gamma=float(rng.uniform(-np.pi, np.pi)))
     u = syn.simulate_network(syn.factor_to_gates([f], 3), 3)
     assert np.max(np.abs(u - _factor_matrix(f, 8))) < 1e-10
+
+
+@pytest.mark.parametrize("i, j", [(-1, 2), (3, 3), (5, 2), (0, 8)])
+def test_factor_gates_refuse_indices_outside_the_register(i, j):
+    with pytest.raises(DomainError, match="out of range for 3 wires"):
+        syn.factor_to_gates([syn.TwoLevelFactor(i=i, j=j, gamma=0.1)], 3)
 
 
 @pytest.mark.parametrize("n, count", [(3, 90), (4, 672), (5, 4407), (6, 26810)])
@@ -571,21 +578,6 @@ def test_givens_route_byte_identical(kappa, n):
     assert digests == GIVENS_DIGESTS[kappa, n]
 
 
-def _gram_root_from_spectrum(book, kappa):
-    """Principal Gram root of the even-weight code from its exact spectrum:
-    the character u of weight k has eigenvalue
-    [(1+kappa)^(n-k) (1-kappa)^k + (1-kappa)^(n-k) (1+kappa)^k] / 2, so
-    X = H^T diag(sqrt(lambda)) H / 2**n with H[u, c] = (-1)^(u.c)."""
-    n = book.n
-    u = np.arange(2**n)
-    weight = np.array([bin(x).count("1") for x in u])
-    lam = 0.5 * ((1 + kappa) ** (n - weight) * (1 - kappa) ** weight
-                 + (1 - kappa) ** (n - weight) * (1 + kappa) ** weight)
-    words = np.array([int(w, 2) for w in book.words])
-    chars = np.array([[(-1.0) ** bin(x & c).count("1") for c in words] for x in u])
-    return chars.T @ (np.sqrt(lam)[:, None] * chars) / 2**n
-
-
 FOURIER_KAPPAS = (0.05, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999999)
 
 
@@ -594,10 +586,12 @@ def test_fourier_network_reproduces_srm(n):
     # rows 0..M-1 of the network's output hold the SRM readout in codebook
     # order; kappa 0.99 and 0.999999 include points where Gram-Schmidt raises
     book = cb.even_weight_codebook(n)
+    words = [int(w, 2) for w in book.words]
     for kappa in FOURIER_KAPPAS:
         states = cb.codeword_states(n, book.words, kappa)
         readout = syn.apply_network(syn.fourier_network(n, kappa), states)[: len(book)]
-        x = _gram_root_from_spectrum(book, kappa)
+        root = even_weight_root(n, kappa)  # the SRM entry of words at distance w
+        x = np.array([[root[(i ^ j).bit_count()] for j in words] for i in words])
         assert np.max(np.abs(readout**2 - x**2)) < 1e-13, kappa
         if kappa <= 0.99:  # the eigh root loses digits as the Gram matrix turns singular
             dense = sqrm.principal_sqrt(cb.gram_matrix(book, kappa))
