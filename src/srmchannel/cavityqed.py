@@ -233,11 +233,9 @@ def solve_sequence_params(g, delta, nu):
         raise DomainError("g and nu must be positive")
     g_eff = _dispersive_rate(g, delta)
     params = PulseParams(g=g, delta=delta, nu=nu, t=np.pi / (4.0 * abs(g_eff)))
-    # |g_eff t| = pi/4 makes tau >= 7 pi / (4 nu) + t > 0
-    t, tau_prime, tau = params.t, params.tau_prime, params.tau
-    if not np.all(np.isfinite((t, tau_prime, tau))):
-        raise DomainError(f"pulse durations overflow: t = {t}, tau' = {tau_prime}, tau = {tau}")
-    # tau > t and |g_eff t| = pi/4, so every pulse phase is finite with nu tau
+    # tau = tau' + t + g_eff t / nu with nu > 0 and |g_eff t| = pi/4, so nu tau is not finite
+    # when t or tau' overflows, and tau > t makes every pulse phase finite with nu tau
+    tau = params.tau
     if not np.isfinite(nu * tau):
         raise DomainError(f"pulse phase nu * tau overflows for nu = {nu}, tau = {tau}")
     block, leakage = sw_gate_sequence(params)

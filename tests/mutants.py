@@ -1,17 +1,18 @@
 """Mutation catalogue: each listed fault in the package must fail the tests named with it.
 
-Run from anywhere as ``python tests/mutants.py`` (pytest must be importable;
-the script itself uses the standard library only, and pytest does not
-collect it).  For each mutant the runner copies ``src/`` into a temporary
-directory, replaces the one occurrence of an exact source fragment with its
-replacement, and runs the mutant's test files against that copy with
-``pytest -x``.  The run fails if a mutant that must be killed survives, if a
-mutant listed as an expected survivor is killed (its entry is then stale:
-the check that kills it has landed), if a fragment does not occur exactly
-once, or if the tests end in anything but a pass or a test failure (an
-import or collection error proves nothing about the check).  Expected
-survivors name the roadmap item that will make their check able to fail;
-they stay listed so that the list stays true.
+Run from anywhere as ``python tests/mutants.py`` (pytest and hypothesis must
+be importable; the script itself uses the standard library only, and pytest
+does not collect it).  For each mutant the runner copies ``src/`` into a
+temporary directory, replaces the one occurrence of an exact source fragment
+with its replacement, and runs the mutant's test files against that copy with
+``pytest -x`` under the ``mutants`` hypothesis profile of
+``tests/conftest.py``, which does not shrink a failing example.  The run fails
+if a mutant that must be killed survives, if a mutant listed as an expected
+survivor is killed (its entry is then stale: the check that kills it has
+landed), if a fragment does not occur exactly once, or if the tests end in
+anything but a pass or a test failure (an import or collection error proves
+nothing about the check).  Expected survivors name the roadmap item that will
+make their check able to fail; they stay listed so that the list stays true.
 """
 
 import os
@@ -62,6 +63,13 @@ MUTANTS = (
     Mutant("sqrm.py", "if m & (m - 1):", "if False:", ("tests/test_sqrm.py",)),
     Mutant("synthesis.py", "if not 0 <= i < j < 2**n:", "if not 0 <= i < j <= 2**n:",
            ("tests/test_synthesis.py",)),
+    Mutant("cavityqed.py", "np.isfinite(nu * tau)", "np.isfinite(tau)", ("tests/test_cli.py",)),
+    Mutant("cli.py", "if not os.path.basename(target) or os.path.isdir(target):",
+           "if not os.path.basename(target):", ("tests/test_cli.py",)),
+    Mutant("cli.py", "if os.path.lexists(args.out.rstrip(os.sep)) and not os.path.isdir(args.out):",
+           "if False:", ("tests/test_cli.py",)),
+    Mutant("cli.py", "math.isfinite(start) and math.isfinite(end) and 0 < step",
+           "0 < step", ("tests/test_cli.py",)),
 )
 
 
@@ -86,7 +94,8 @@ def _run(mutant, scratch):
         fh.write(text.replace(mutant.fragment, mutant.replacement))
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-profile", "mutants", *mutant.tests],
         cwd=ROOT, env=env, capture_output=True, text=True)
     outcome = {0: "survived", 1: "killed"}.get(proc.returncode)
     if outcome is None:

@@ -67,23 +67,28 @@ def test_c1_bad_grid(capsys):
 
 @pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan", "0:1:inf", "-inf:0:1", "nan:1:0.1"])
 def test_non_finite_grid_is_a_domain_error(capsys, grid):
-    status, _, err = _run(capsys, "sweep", "--n", "3", "--grid", grid)
+    # "--grid=", as argparse takes "--grid -inf:0:1" for a missing value
+    status, _, err = _run(capsys, "sweep", "--n", "3", f"--grid={grid}")
     assert status == 2
     assert "grid" in err
 
 
 def test_oversized_grid_refused_before_building(capsys, monkeypatch):
-    # A cap of 100 keeps the test small; the paper's 1001-point grid is
-    # accepted under the real cap (test_sweep_row_count_and_header).
-    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 100)
+    # The real cap holds exactly 10**6 points; a cap of 100 keeps the other cases small.
+    # The paper's 1001-point grid is accepted under the real cap
+    # (test_sweep_row_count_and_header).
+    assert len(cli._parse_grid("0:0.999999:0.000001")) == cli.MAX_GRID_POINTS
 
     def no_rows(*args):
         raise AssertionError("a row was computed")
 
-    with monkeypatch.context() as m:
-        m.setattr(sqrm, "even_weight_summary", no_rows)
-        # the cap bounds the table's rows: 1001 points, then 2 block lengths x 51
-        for n_spec, grid in (("3", "0:1:0.001"), ("3,5", "0:1:0.02")):
+    # the cap bounds the table's rows: 2 block lengths x 10**6 under the real cap,
+    # then 1001 points and 2 block lengths x 51 under a cap of 100
+    for cap, n_spec, grid in ((cli.MAX_GRID_POINTS, "3,5", "0:0.999999:0.000001"),
+                              (100, "3", "0:1:0.001"), (100, "3,5", "0:1:0.02")):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", cap)
+        with monkeypatch.context() as m:
+            m.setattr(sqrm, "even_weight_summary", no_rows)
             status, out, err = _run(capsys, "sweep", "--n", n_spec, "--grid", grid)
             assert status == 4
             assert out == ""
@@ -759,6 +764,8 @@ def test_threshold_nan_tolerance_is_a_domain_error(capsys):
         # nu * tau overflows: refused before the sequence is composed
         (("--delta", "1e308"), "phase"),
         (("--nu", "1e308"), "phase"),
+        # the nu rule runs before PulseParams divides by nu
+        (("--nu", "0"), "positive"),
     ],
 )
 def test_gatecheck_non_finite_or_degenerate_is_a_domain_error(capsys, argv, message):

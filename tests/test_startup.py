@@ -1,12 +1,14 @@
 """Each subcommand loads only the layers it uses, and a repeated call prints
 the same bytes as the first one, which paid for the loading.  The package
-itself loads no module until one is imported.
+itself loads no module until one is imported, and ``synthesize`` writes the
+same bytes under one BLAS thread as under two.
 
 Every case runs in a fresh interpreter, since the test process has imported
 every module already.
 """
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -88,6 +90,24 @@ def test_second_call_prints_the_same_bytes(fresh_runs, case):
 def test_synthesize_writes_its_two_files(fresh_runs):
     _, (_, _, files), _ = fresh_runs["synthesize"]
     assert sorted(files) == ["network.txt", "v.txt"]
+
+
+def test_synthesize_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # n = 8 is the widest decoder whose bytes do not: at n = 9 the Gram
+    # eigendecomposition does.  One thread against two, each in its own process.
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        result = subprocess.run(
+            [sys.executable, "-m", "srmchannel.cli", "synthesize", "--n", "8", "--kappa", "0.5",
+             "--out", str(out)],
+            env=dict(ENV, OPENBLAS_NUM_THREADS=threads), capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs = {"stdout": result.stdout, **{f: (out / f).read_bytes()
+                                               for f in ("v.txt", "network.txt")}}
+        digests.append({k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()})
+    assert digests[0] == digests[1]
 
 
 # What a fresh ``import srmchannel.cavityqed`` loads of the package, then the
