@@ -104,14 +104,14 @@ class PulseParams(NamedTuple):
 
 
 def _dispersive_rate(g, delta):
-    """g_eff = g^2/delta, refused where it is undefined, zero or infinite."""
+    """g_eff = g^2/delta, refused where it is undefined, zero or not finite."""
     if delta == 0.0:
         raise DomainError("zero detuning: dispersive coupling undefined")
     g_eff = g * g / delta
     if g_eff == 0.0:
         raise DomainError(f"g_eff = g^2/delta underflows to zero for g = {g}, delta = {delta}")
     if not np.isfinite(g_eff):
-        raise DomainError(f"g_eff = g^2/delta overflows to {g_eff} for g = {g}, delta = {delta}")
+        raise DomainError(f"g_eff = g^2/delta is not finite for g = {g}, delta = {delta}")
     return g_eff
 
 
@@ -227,17 +227,15 @@ def solve_sequence_params(g, delta, nu):
     with the composed sequence's local-class fidelity, invariant distance to
     the target and leakage; judging them is left to the caller.
     """
-    if not np.all(np.isfinite((g, delta, nu))):
-        raise DomainError("g, delta and nu must be finite")
-    if g <= 0 or nu <= 0:
+    if not (g > 0 and nu > 0):
         raise DomainError("g and nu must be positive")
     g_eff = _dispersive_rate(g, delta)
     params = PulseParams(g=g, delta=delta, nu=nu, t=np.pi / (4.0 * abs(g_eff)))
-    # tau = tau' + t + g_eff t / nu with nu > 0 and |g_eff t| = pi/4, so nu tau is not finite
-    # when t or tau' overflows, and tau > t makes every pulse phase finite with nu tau
+    # tau = tau' + t + g_eff t / nu with |g_eff t| = pi/4, so tau > t and nu tau bounds every
+    # pulse phase; from 2 pi / eps on, a double keeps no digit of it mod 2 pi (nor inf or nan)
     tau = params.tau
-    if not np.isfinite(nu * tau):
-        raise DomainError(f"pulse phase nu * tau overflows for nu = {nu}, tau = {tau}")
+    if not nu * tau * np.finfo(float).eps < 2.0 * np.pi:
+        raise DomainError(f"pulse phase nu * tau = {nu * tau:.3g} has no digit left mod 2 pi")
     block, leakage = sw_gate_sequence(params)
     return {
         "params": params,

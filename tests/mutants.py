@@ -63,7 +63,8 @@ MUTANTS = (
     Mutant("sqrm.py", "if m & (m - 1):", "if False:", ("tests/test_sqrm.py",)),
     Mutant("synthesis.py", "if not 0 <= i < j < 2**n:", "if not 0 <= i < j <= 2**n:",
            ("tests/test_synthesis.py",)),
-    Mutant("cavityqed.py", "np.isfinite(nu * tau)", "np.isfinite(tau)", ("tests/test_cli.py",)),
+    Mutant("cavityqed.py", "eps < 2.0 * np.pi:", "eps < 2.0e3 * np.pi:", ("tests/test_cli.py",)),
+    Mutant("cavityqed.py", "not (g > 0 and nu > 0)", "g <= 0 or nu <= 0", ("tests/test_cli.py",)),
     Mutant("cli.py", "if not os.path.basename(target) or os.path.isdir(target):",
            "if not os.path.basename(target):", ("tests/test_cli.py",)),
     Mutant("cli.py", "if os.path.lexists(args.out.rstrip(os.sep)) and not os.path.isdir(args.out):",

@@ -219,10 +219,10 @@ def test_gatecheck_invariant_distance_failure(capsys, monkeypatch):
     assert "invariant distance" in err
 
 
-@pytest.mark.parametrize("g", ["1e-5", "1e-8"])
+@pytest.mark.parametrize("g", ["1e-5", "1e-7", "3.2e-8"])
 def test_gatecheck_weak_coupling_fails_verification(capsys, g):
-    # the solved t = pi delta / (4 g^2) is too large for double precision to
-    # hold the phase relation
+    # the solved t = pi delta / (4 g^2) keeps nu tau below 2 pi / eps but is too
+    # large for double precision to hold the phase relation
     _, err = _gatecheck_fails_verification(capsys, "--g", g)
     assert "invariant distance" in err
 
@@ -754,18 +754,26 @@ def test_threshold_nan_tolerance_is_a_domain_error(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--delta", "inf"), "finite"),
-        (("--nu", "inf"), "finite"),
-        (("--g", "nan"), "finite"),
+        (("--delta", "inf"), "underflows"),
+        (("--nu", "inf"), "phase"),
+        (("--g", "nan"), "positive"),
         (("--g", "1e-200"), "underflows"),
-        (("--g", "1e-160"), "overflow"),
-        (("--nu", "1e-320"), "overflow"),
+        (("--g", "1e-160"), "phase"),
+        (("--nu", "1e-320"), "phase"),
         (("--g", "1e200"), "g_eff"),
-        # nu * tau overflows: refused before the sequence is composed
+        # nu * tau at or above 2 pi / eps, where a double keeps no digit of a pulse
+        # phase mod 2 pi: refused before the sequence is composed
         (("--delta", "1e308"), "phase"),
         (("--nu", "1e308"), "phase"),
         # the nu rule runs before PulseParams divides by nu
         (("--nu", "0"), "positive"),
+        # at delta = 5, nu = 7, g = 3.0e-8 gives nu tau = 3.05e16 against
+        # 2 pi / eps = 2.83e16; 3.2e-8 (2.68e16) runs and fails verification
+        (("--g", "1e-8"), "phase"),
+        (("--g", "3.0e-8"), "phase"),
+        (("--delta", "1e200"), "phase"),
+        (("--nu", "1e200"), "phase"),
+        (("--delta", "nan"), "not finite"),
     ],
 )
 def test_gatecheck_non_finite_or_degenerate_is_a_domain_error(capsys, argv, message):

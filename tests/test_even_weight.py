@@ -1,4 +1,15 @@
-"""Closed-form even-weight engine against an mpmath oracle and the other routes."""
+"""Closed-form even-weight engine against an mpmath oracle and the other routes.
+
+The kappa -> 1 contact law at odd n: with s = sqrt(1 - kappa^2), the margin
+I_n / n - C1 is r_n s^n (1 + O(s)), where n ln2 r_n = n C(n - 1, (n - 1)/2) /
+2^(n - 1) - 1 (1/2, 7/8, 19/16, 187/128, 437/256 at n = 3, 5, 7, 9, 11).  The
+tests hold the relative deviation to 2 s: the exact route at 1 - kappa = 1e-12
+and 1e-20 up to n = 11, and the float engine at kappa = 0.99..0.999 up to
+n = 9.  At n = 11, kappa = 0.999 the true margin (2.7e-16) is below the
+engine's absolute error, which gets its sign wrong.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +17,7 @@ import pytest
 from srmchannel import binary_channel as bc
 from srmchannel import codebook as cb
 from srmchannel import sqrm
+from srmchannel import sweep
 from srmchannel.exceptions import DomainError, ResourceError
 
 from oracles import (
@@ -13,6 +25,7 @@ from oracles import (
     conditional_probabilities,
     even_weight_summary_mp,
     mutual_information,
+    single_letter_mp,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -95,3 +108,26 @@ def test_endpoint_branch_is_the_limit_of_the_closed_form(n, eps):
     for endpoint, inside, atol in ((0.0, eps, eps), (1.0, 1.0 - eps, 2.0 * np.sqrt(eps))):
         exact = sqrm.even_weight_summary(n, endpoint)
         assert np.allclose(sqrm.even_weight_summary(n, inside), exact, rtol=0.0, atol=atol)
+
+
+def _contact_rate(n, ln2):
+    """r_n of the odd-n contact law, in the type of ``ln2``."""
+    return (n * math.comb(n - 1, (n - 1) // 2) - 2 ** (n - 1)) / (2 ** (n - 1) * n * ln2)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_exact_margin_follows_the_odd_contact_law(n):
+    with mpmath.workdps(120):
+        for gap in ("1e-12", "1e-20"):
+            kappa = 1 - mpmath.mpf(gap)
+            s = mpmath.sqrt(1 - kappa**2)
+            margin = even_weight_summary_mp(n, kappa)[0] / n - single_letter_mp(kappa)[1]
+            assert abs(margin / (_contact_rate(n, mpmath.log(2)) * s**n) - 1) <= 2 * s, gap
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_float_margin_follows_the_odd_contact_law(n):
+    kappa = np.array([0.99, 0.995, 0.999])
+    s = np.sqrt(1.0 - kappa**2)
+    margin = sweep.superadditivity_margin(n, kappa)
+    assert np.all(np.abs(margin / (_contact_rate(n, math.log(2)) * s**n) - 1.0) <= 2.0 * s)

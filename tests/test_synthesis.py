@@ -105,12 +105,6 @@ def test_decoding_unitary_kappa0_permutation(block3):
     assert np.allclose(np.abs(v).sum(axis=1), 1.0)
 
 
-def test_gram_schmidt_of_a_full_codebook_adds_nothing():
-    book = cb.Codebook(2, ("00", "01", "10", "11"))
-    mu = syn.srm_vectors(book, 0.5)
-    assert np.array_equal(syn.gram_schmidt_completion(mu, book, 0.5), mu)
-
-
 def test_gram_schmidt_rejects_non_orthonormal():
     book = cb.Codebook(2, ("00", "01", "10", "11"))
     with pytest.raises(ConsistencyError, match="completed basis is not orthonormal"):
