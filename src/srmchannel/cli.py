@@ -70,9 +70,7 @@ def _atomic_write(path, pieces):
             os.unlink(tmp)
             raise
     except OSError as exc:
-        if exc.errno is not None:
-            raise type(exc)(exc.errno, exc.strerror, path) from exc
-        raise
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 def _parse_grid(spec, blocks=1):
@@ -250,12 +248,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return EXIT_RESOURCE if isinstance(exc, ResourceError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

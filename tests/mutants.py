@@ -54,8 +54,8 @@ MUTANTS = (
            ("tests/test_synthesis.py",)),
     Mutant("cli.py", "if (count + 1) * blocks > MAX_GRID_POINTS:",
            "if count * blocks > MAX_GRID_POINTS:", ("tests/test_cli.py",)),
-    Mutant("cli.py", "except (DomainError, OSError) as exc:", "except OSError as exc:",
-           ("tests/test_cli_property.py",)),
+    Mutant("cli.py", "except (DomainError, OSError, ResourceError) as exc:",
+           "except (OSError, ResourceError) as exc:", ("tests/test_cli_property.py",)),
     Mutant("cavityqed.py", "if off > 1e-6:", "if off > 1e6:", ("tests/test_cavityqed.py",)),
     Mutant("sqrm.py", "if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:",
            "if gram.ndim != 2:", ("tests/test_sqrm.py",)),
@@ -71,6 +71,19 @@ MUTANTS = (
            "if False:", ("tests/test_cli.py",)),
     Mutant("cli.py", "math.isfinite(start) and math.isfinite(end) and 0 < step",
            "0 < step", ("tests/test_cli.py",)),
+    Mutant("codebook.py", "if n < 2:", "if n < 1:", ("tests/test_cli.py",)),
+    Mutant("codebook.py", "if n > MAX_BLOCK_LENGTH:", "if n > MAX_BLOCK_LENGTH + 1:",
+           ("tests/test_cli.py",)),
+    Mutant("binary_channel.py", "(kappa <= 1.0))", "(kappa <= 2.0))", ("tests/test_cli.py",)),
+    Mutant("sweep.py", "if not tolerance > 0:", "if False:", ("tests/test_cli.py",)),
+    Mutant("sweep.py", 'if codebook_choice == "alt" and n != 3:', "if False:",
+           ("tests/test_cli.py",)),
+    # an error class, not the bound: below the float spacing bisection would never end
+    Mutant("sweep.py", 'raise ResourceError(\n            f"tolerance',
+           'raise DomainError(\n            f"tolerance', ("tests/test_cli.py",)),
+    Mutant("synthesis.py", "if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):", "if False:",
+           ("tests/test_cli.py",)),
+    Mutant("cavityqed.py", "if delta == 0.0:", "if False:", ("tests/test_cli.py",)),
 )
 
 

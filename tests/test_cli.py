@@ -42,12 +42,6 @@ def test_c1_negative_zero_prints_zero(capsys):
     assert out.startswith('{"kappa": 0.0,')
 
 
-def test_c1_out_of_range(capsys):
-    status, _, err = _run(capsys, "c1", "--kappa", "1.5")
-    assert status == 2
-    assert "error" in err
-
-
 def test_c1_grid_json(capsys):
     status, out, _ = _run(capsys, "c1", "--grid", "0:1:0.25", "--json")
     assert status == 0
@@ -59,18 +53,111 @@ def test_c1_grid_json(capsys):
     assert all(list(r) == header for r in rows)
 
 
-def test_c1_bad_grid(capsys):
-    status, _, err = _run(capsys, "c1", "--grid", "0:1")
-    assert status == 2
-    assert "grid" in err
+# Each subcommand's first work function, which a refused command line must not reach.
+WORK = {
+    "c1": (bc, "crossover_probability"),
+    "sweep": (sqrm, "even_weight_summary"),
+    "threshold": (sweep, "superadditivity_margin"),
+    "synthesize": (cb, "even_weight_codebook"),
+    "gatecheck": (cq, "sw_gate_sequence"),
+}
 
 
-@pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan", "0:1:inf", "-inf:0:1", "nan:1:0.1"])
-def test_non_finite_grid_is_a_domain_error(capsys, grid):
+def _refusal(argv, status, fragment, checked_by_work=False):
+    """One refused command line, its exit code and a fragment of its ``error:`` line.
+    ``checked_by_work`` marks a check that runs inside the work function ``WORK``
+    names, or after it, so the row cannot forbid calling it."""
+    words = argv.split()
+    work = None if checked_by_work else WORK[words[0]]
+    return pytest.param(words, status, fragment, work, id=argv)
+
+
+REFUSALS = [
+    _refusal("c1 --kappa 1.5", 2, "overlap must lie in [0, 1]"),
+    _refusal("c1 --kappa nan", 2, "overlap must lie in [0, 1]"),
+    _refusal("c1 --grid 0:1", 2, "grid"),
+    _refusal("c1 --grid 0:1:0", 2, "bad grid spec"),
+    _refusal("c1 --grid 1:0:0.1", 2, "bad grid spec"),
+    _refusal("c1 --grid 0:1:-0.1", 2, "bad grid spec"),
+    # a subnormal step asks for more points than the cap
+    _refusal("c1 --grid 0:1:1e-320", 4, "grid"),
     # "--grid=", as argparse takes "--grid -inf:0:1" for a missing value
-    status, _, err = _run(capsys, "sweep", "--n", "3", f"--grid={grid}")
-    assert status == 2
-    assert "grid" in err
+    *(_refusal(f"sweep --n 3 --grid={grid}", 2, "grid")
+      for grid in ("0:inf:1", "0:1:nan", "0:1:inf", "-inf:0:1", "nan:1:0.1")),
+    _refusal("sweep --n 3 --grid 0:1.5:0.5", 2, "overlap must lie in [0, 1]"),
+    _refusal("sweep --n 3,a --grid 0:1:0.5", 2, "--n"),
+    _refusal("sweep --n 3, --grid 0:1:0.5", 2, "--n"),
+    # every block length is checked before the first row, endpoints included
+    _refusal("sweep --n 21 --grid 0:0:1", 4, "limit"),
+    _refusal("sweep --n 21 --grid 1:1:1", 4, "limit"),
+    _refusal("sweep --n 3,21 --grid 0:1:0.5", 4, "limit"),
+    # the alternative codebook's own rule (n = 3) names the block length too,
+    # and comes before the limit
+    *(_refusal(f"sweep --n {n} --grid 0:1:0.5 --codebook {choice}", 2, "block length")
+      for n in ("-1", "0", "1") for choice in ("even", "alt")),
+    _refusal("sweep --n 21 --grid 0:1:0.5 --codebook alt", 2, "alternative codebook"),
+    # bisection below the float spacing never shrinks the bracket further
+    _refusal("threshold --n 3 --tol 1e-16", 4, "tolerance"),
+    _refusal("threshold --n 3 --tol 2.2204460492503128e-16", 4,
+             "float resolution 2.220446049250313e-16"),
+    _refusal("threshold --n 3 --tol nan", 2, "tolerance"),
+    _refusal("threshold --n 3 --tol 0", 2, "tolerance must be positive"),
+    _refusal("threshold --n 3 --tol=-1", 2, "tolerance must be positive"),
+    _refusal("threshold --n 21", 4, "limit", checked_by_work=True),
+    *(_refusal(f"threshold --n {n}", 2, "block length must be >= 2", checked_by_work=True)
+      for n in ("-1", "0", "1")),
+    # the network is built first, so its width and block-length checks come
+    # before the codebook; v.txt is the 2**n x 2**n completed basis (512 x 512
+    # at n = 9), and n = 21, past codebook.MAX_BLOCK_LENGTH too, meets the wire limit first
+    *(_refusal(f"synthesize --n {n} --kappa 0.5 --out out", 4, "wires")
+      for n in ("13", "10", "21")),
+    *(_refusal(f"synthesize --n {n} --kappa 0.5 --out out", 2, "block length must be >= 2")
+      for n in ("-1", "0", "1")),
+    # the overlap rule of the other subcommands; kappa = 1 has a singular Gram matrix
+    *(_refusal(f"synthesize --kappa {kappa} --out out", 2, "overlap must lie in [0, 1]")
+      for kappa in ("-0.1", "1.5", "nan", "inf")),
+    _refusal("synthesize --kappa 1 --out out", 2, "singular", checked_by_work=True),
+    _refusal("gatecheck --delta 0", 2, "detuning"),
+    _refusal("gatecheck --delta inf", 2, "underflows"),
+    _refusal("gatecheck --nu inf", 2, "phase"),
+    _refusal("gatecheck --g nan", 2, "positive"),
+    _refusal("gatecheck --g 1e-200", 2, "underflows"),
+    _refusal("gatecheck --g 1e-160", 2, "phase"),
+    _refusal("gatecheck --nu 1e-320", 2, "phase"),
+    _refusal("gatecheck --g 1e200", 2, "g_eff"),
+    # nu * tau at or above 2 pi / eps, where a double keeps no digit of a pulse
+    # phase mod 2 pi: refused before the sequence is composed
+    _refusal("gatecheck --delta 1e308", 2, "phase"),
+    _refusal("gatecheck --nu 1e308", 2, "phase"),
+    # the nu rule runs before PulseParams divides by nu
+    _refusal("gatecheck --nu 0", 2, "positive"),
+    # at delta = 5, nu = 7, g = 3.0e-8 gives nu tau = 3.05e16 against
+    # 2 pi / eps = 2.83e16; 3.2e-8 (2.68e16) runs and fails verification
+    _refusal("gatecheck --g 1e-8", 2, "phase"),
+    _refusal("gatecheck --g 3.0e-8", 2, "phase"),
+    _refusal("gatecheck --delta 1e200", 2, "phase"),
+    _refusal("gatecheck --nu 1e200", 2, "phase"),
+    _refusal("gatecheck --delta nan", 2, "not finite"),
+]
+
+
+@pytest.mark.parametrize("argv, status, fragment, work", REFUSALS)
+def test_refused_before_work(tmp_path, capsys, monkeypatch, argv, status, fragment, work):
+    # run in an empty directory, which the refusal must leave empty: no --out path
+    # and no temporary file
+    monkeypatch.chdir(tmp_path)
+    if work:
+        module, name = work
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(module, name, no_work)
+    exit_code, out, err = _run(capsys, *argv)
+    assert (exit_code, out) == (status, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert fragment in err
+    assert not os.listdir(tmp_path)
 
 
 def test_oversized_grid_refused_before_building(capsys, monkeypatch):
@@ -100,95 +187,10 @@ def test_oversized_grid_refused_before_building(capsys, monkeypatch):
     assert status == 0
 
 
-def test_subnormal_grid_step_is_a_resource_error(capsys):
-    status, _, err = _run(capsys, "c1", "--grid", "0:1:1e-320")
-    assert status == 4
-    assert "grid" in err
-
-
-def _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, n, status=4, text="wires"):
-    def no_work(*args):
-        raise AssertionError("synthesis started")
-
-    monkeypatch.setattr(cli.cb_mod, "even_weight_codebook", no_work)
-    monkeypatch.setattr(syn, "srm_vectors", no_work)
-    exit_code, _, err = _run(
-        capsys, "synthesize", "--n", n, "--kappa", "0.5", "--out", str(tmp_path / "x")
-    )
-    assert exit_code == status
-    assert text in err
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "x").exists()
-
-
-def test_synthesize_refuses_wide_network_before_work(tmp_path, capsys, monkeypatch):
-    _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "13")
-
-
-def test_synthesize_refuses_ten_wires_before_work(tmp_path, capsys, monkeypatch):
-    # v.txt is the 2**n x 2**n completed basis: 512 x 512 at n = 9.
-    _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "10")
-
-
-def test_synthesize_beyond_block_limit_refused_for_its_width(tmp_path, capsys, monkeypatch):
-    # n = 21 is also past codebook.MAX_BLOCK_LENGTH; the wire limit comes first.
-    _synthesis_refused_before_work(tmp_path, capsys, monkeypatch, "21")
-
-
-@pytest.mark.parametrize("n", ["-1", "0", "1"])
-def test_synthesize_rejects_small_block_before_work(tmp_path, capsys, monkeypatch, n):
-    # the network is built first, so its block-length check refuses n < 2
-    _synthesis_refused_before_work(
-        tmp_path, capsys, monkeypatch, n, status=2, text="block length must be >= 2"
-    )
-
-
-def test_threshold_tolerance_below_float_resolution_refused_before_work(capsys, monkeypatch):
-    # Bisection below the float spacing never shrinks the bracket further.
-    def no_work(*args):
-        raise AssertionError("the scan started")
-
-    monkeypatch.setattr(sweep, "superadditivity_margin", no_work)
-    status, out, err = _run(capsys, "threshold", "--n", "3", "--tol", "1e-16")
-    assert status == 4
-    assert out == ""
-    assert "tolerance" in err
-
-
 def test_threshold_tolerance_boundary_is_the_float_epsilon(capsys):
+    # one ulp below, the tolerance is refused (a row of REFUSALS)
     status, out, _ = _run(capsys, "threshold", "--n", "3", "--tol", "2.220446049250313e-16")
     assert status == 0 and out == "0.738143258\n"
-    status, out, err = _run(capsys, "threshold", "--n", "3", "--tol", "2.2204460492503128e-16")
-    assert status == 4
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "float resolution 2.220446049250313e-16" in err
-
-
-def test_threshold_beyond_block_limit(capsys):
-    status, _, err = _run(capsys, "threshold", "--n", "21")
-    assert status == 4
-    assert "limit" in err
-    assert len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("grid", ["0:0:1", "1:1:1"])
-def test_sweep_beyond_block_limit_at_an_endpoint(capsys, grid):
-    status, out, err = _run(capsys, "sweep", "--n", "21", "--grid", grid)
-    assert status == 4
-    assert out == ""
-    assert "limit" in err
-
-
-def test_sweep_refuses_every_block_length_before_work(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("the engine ran")
-
-    monkeypatch.setattr(sqrm, "even_weight_summary", no_work)
-    status, out, err = _run(capsys, "sweep", "--n", "3,21", "--grid", "0:1:0.5")
-    assert status == 4
-    assert out == ""
-    assert "limit" in err
 
 
 GATECHECK_KEYS = ["g", "delta", "nu", "tau", "tau_prime", "eps_abs", "eps_prime_abs", "t",
@@ -273,37 +275,6 @@ def test_sweep_json_fields(capsys):
     _, csv, _ = _run(capsys, "sweep", "--n", "2,3", "--grid", "0.5:0.5:1")
     header = csv.splitlines()[0].split(",")
     assert all(list(r) == header for r in rows)
-
-
-def test_sweep_rejects_small_block(capsys):
-    # the alternative codebook's own rule (n = 3) names the block length too
-    for n in ("-1", "0", "1"):
-        for choice in ("even", "alt"):
-            status, out, err = _run(
-                capsys, "sweep", "--n", n, "--grid", "0:1:0.5", "--codebook", choice
-            )
-            assert status == 2
-            assert out == ""
-            assert len(err.splitlines()) == 1
-            assert "block length" in err
-
-
-@pytest.mark.parametrize("n", ["-1", "0", "1"])
-def test_threshold_rejects_small_block(capsys, n):
-    status, out, err = _run(capsys, "threshold", "--n", n)
-    assert status == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "block length must be >= 2" in err
-
-
-def test_sweep_alt_beyond_block_limit_is_a_domain_error(capsys):
-    # the alternative codebook's own rule (n = 3) comes before the limit
-    status, out, err = _run(capsys, "sweep", "--n", "21", "--grid", "0:1:0.5", "--codebook", "alt")
-    assert status == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "alternative codebook" in err
 
 
 def test_sweep_out_file_deterministic(tmp_path, capsys):
@@ -636,23 +607,12 @@ def test_synthesize_byte_identical_reruns(tmp_path, capsys):
 
 
 def test_synthesize_degenerate_kappa(tmp_path, capsys):
-    # the overlap rule of the other subcommands: kappa = 0 (or -0) is the
-    # noiseless code, kappa = 1 has a singular Gram matrix, and any other
-    # overlap outside [0, 1], nan and inf included, is refused with one line
-    # before the output directory exists
+    # kappa = 0 (or -0) is the noiseless code; every refused overlap is a row of REFUSALS
     words = cb.even_weight_codebook(3).words
     for kappa in ("0", "-0"):
         status, out, _ = _run(capsys, "synthesize", "--kappa", kappa, "--out", str(tmp_path / "ok"))
         assert status == 0, kappa
         assert out.splitlines() == ["P_e 0"] + [f"P({w}|{w}) 1" for w in words], kappa
-    refusals = {"1": "singular", **dict.fromkeys(("-0.1", "1.5", "nan", "inf"),
-                                                 "overlap must lie in [0, 1]")}
-    for kappa, message in refusals.items():
-        out_dir = tmp_path / "x"
-        status, _, err = _run(capsys, "synthesize", "--kappa", kappa, "--out", str(out_dir))
-        assert status == 2, kappa
-        assert len(err.splitlines()) == 1 and message in err, kappa
-        assert not out_dir.exists(), kappa
 
 
 @pytest.mark.parametrize("which", ["frame", "chain", "cr", "hadamard"])
@@ -728,57 +688,3 @@ def test_gatecheck_defaults(capsys):
     assert float(values["invariant_distance"]) < 1e-6
     assert float(values["leakage"]) < 1e-8
     assert float(values["g"]) == 1.0
-
-
-def test_gatecheck_zero_detuning(capsys):
-    status, _, err = _run(capsys, "gatecheck", "--delta", "0")
-    assert status == 2
-    assert "detuning" in err
-    assert len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("n_spec", ["3,a", "3,"])
-def test_sweep_bad_block_list_is_a_domain_error(capsys, n_spec):
-    status, _, err = _run(capsys, "sweep", "--n", n_spec, "--grid", "0:1:0.5")
-    assert status == 2
-    assert "--n" in err
-
-
-def test_threshold_nan_tolerance_is_a_domain_error(capsys):
-    status, out, err = _run(capsys, "threshold", "--n", "3", "--tol", "nan")
-    assert status == 2
-    assert out == ""
-    assert "tolerance" in err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("--delta", "inf"), "underflows"),
-        (("--nu", "inf"), "phase"),
-        (("--g", "nan"), "positive"),
-        (("--g", "1e-200"), "underflows"),
-        (("--g", "1e-160"), "phase"),
-        (("--nu", "1e-320"), "phase"),
-        (("--g", "1e200"), "g_eff"),
-        # nu * tau at or above 2 pi / eps, where a double keeps no digit of a pulse
-        # phase mod 2 pi: refused before the sequence is composed
-        (("--delta", "1e308"), "phase"),
-        (("--nu", "1e308"), "phase"),
-        # the nu rule runs before PulseParams divides by nu
-        (("--nu", "0"), "positive"),
-        # at delta = 5, nu = 7, g = 3.0e-8 gives nu tau = 3.05e16 against
-        # 2 pi / eps = 2.83e16; 3.2e-8 (2.68e16) runs and fails verification
-        (("--g", "1e-8"), "phase"),
-        (("--g", "3.0e-8"), "phase"),
-        (("--delta", "1e200"), "phase"),
-        (("--nu", "1e200"), "phase"),
-        (("--delta", "nan"), "not finite"),
-    ],
-)
-def test_gatecheck_non_finite_or_degenerate_is_a_domain_error(capsys, argv, message):
-    status, out, err = _run(capsys, "gatecheck", *argv)
-    assert status == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert message in err
