@@ -87,7 +87,12 @@ def _block_summary(n, kappa, codebook_choice="even"):
 
 
 def superadditivity_margin(n, kappa, codebook_choice="even"):
-    """Per-letter SRM information minus C1, in bits; elementwise in ``kappa``."""
+    """Per-letter SRM information minus C1, in bits; elementwise in ``kappa``.
+
+    For the even-weight code it is within 8 eps of the exact margin: measured
+    (not derived) against 50-digit mpmath at n = 2..20 on 0.01..0.99, 0.995,
+    0.999 and 0.9999, worst 5.7 eps.  A smaller |margin| has no sure sign.
+    """
     info, _ = _block_summary(n, kappa, codebook_choice)
     return info / n - binary_channel.capacity_c1(kappa)
 

@@ -4,8 +4,9 @@ Run from anywhere as ``python tests/mutants.py`` (pytest and hypothesis must
 be importable; the script itself uses the standard library only, and pytest
 does not collect it).  For each mutant the runner copies ``src/`` into a
 temporary directory, replaces the one occurrence of an exact source fragment
-with its replacement, and runs the mutant's test files against that copy with
-``pytest -x`` under the ``mutants`` hypothesis profile of
+with its replacement, and runs the tests named with it (pytest node ids, so a
+mutant runs only the tests that kill it) against that copy with ``pytest -x``
+under the ``mutants`` hypothesis profile of
 ``tests/conftest.py``, which does not shrink a failing example.  The run fails
 if a mutant that must be killed survives, if a mutant listed as an expected
 survivor is killed (its entry is then stale: the check that kills it has
@@ -30,60 +31,84 @@ class Mutant(NamedTuple):
     path: str  # under src/srmchannel
     fragment: str
     replacement: str
-    tests: tuple  # test files, relative to the repository root
+    tests: tuple  # pytest node ids (file::test), relative to the repository root
     survives: str = ""  # why the tests cannot kill it yet; empty if they must
 
 
+CLI_REFUSALS = ("tests/test_cli.py::test_refused_before_work",)
+LIBRARY_REFUSALS = ("tests/test_library_refusals.py::test_library_refusal",)
+
 MUTANTS = (
     Mutant("cli.py", 'result["leakage"] < 1e-8', 'result["leakage"] < 1e8',
-           ("tests/test_cli.py", "tests/test_cavityqed.py"),
+           ("tests/test_cli.py::test_gatecheck_defaults",
+            "tests/test_cavityqed.py::test_sw_sequence_block_unitary"),
            survives="leakage is 0.0 by construction of the truncated model (ROADMAP item 4)"),
     Mutant("cli.py", "np.eye(len(book)))) > 1e-9", "np.eye(len(book)))) > 1e-3",
-           ("tests/test_cli.py",)),
+           ("tests/test_cli.py::test_synthesize_network_check_can_fail",)),
     Mutant("cli.py", 'result["invariant_distance"] < 1e-6', 'result["invariant_distance"] < 1e-2',
-           ("tests/test_cli.py",)),
+           ("tests/test_cli.py::test_gatecheck_invariant_distance_failure",)),
     Mutant("sqrm.py", "(x * cur - (n - j + 1) * prev)", "(x * cur - (n - j) * prev)",
-           ("tests/test_even_weight.py",)),
-    Mutant("sqrm.py", "    if bad.any():\n", "    if False:\n",
-           ("tests/test_kappa_axis.py",)),
+           ("tests/test_even_weight.py::test_margin_within_eight_eps_of_exact",
+            "tests/test_even_weight.py::test_even_weight_summary_matches_mpmath")),
+    Mutant("sqrm.py", "    if bad.any():\n", "    if False:\n", LIBRARY_REFUSALS),
     Mutant("sweep.py", "grid[onsets[0]], grid[onsets[0] + 1]",
-           "grid[onsets[-1]], grid[onsets[-1] + 1]", ("tests/test_digit_contract.py",)),
+           "grid[onsets[-1]], grid[onsets[-1] + 1]",
+           ("tests/test_digit_contract.py::test_threshold_is_the_first_onset_past_the_cap",)),
     Mutant("synthesis.py", "else ControlledFlip(others, w)] + zeros[::-1]",
-           "else ControlledFlip(others, w)]", ("tests/test_synthesis.py",)),
+           "else ControlledFlip(others, w)]",
+           ("tests/test_synthesis.py::test_factor_gates_single_bit_pair",
+            "tests/test_synthesis.py::test_factor_gates_antipodal_pair")),
     Mutant("synthesis.py", "if n > MAX_WIRES:", "if n > MAX_WIRES + 1:",
-           ("tests/test_synthesis.py",)),
+           ("tests/test_synthesis.py::test_limited_to_max_wires_before_allocating",)),
     Mutant("cli.py", "if (count + 1) * blocks > MAX_GRID_POINTS:",
-           "if count * blocks > MAX_GRID_POINTS:", ("tests/test_cli.py",)),
+           "if count * blocks > MAX_GRID_POINTS:",
+           ("tests/test_cli.py::test_oversized_grid_refused_before_building",)),
     Mutant("cli.py", "except (DomainError, OSError, ResourceError) as exc:",
-           "except (OSError, ResourceError) as exc:", ("tests/test_cli_property.py",)),
-    Mutant("cavityqed.py", "if off > 1e-6:", "if off > 1e6:", ("tests/test_cavityqed.py",)),
+           "except (OSError, ResourceError) as exc:",
+           ("tests/test_cli_property.py::test_edge_argv_exit_cleanly",)),
+    Mutant("cavityqed.py", "if off > 1e-6:", "if off > 1e6:",
+           ("tests/test_cavityqed.py::test_local_class_fidelity_is_zero_off_the_block_diagonal",)),
     Mutant("sqrm.py", "if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:",
-           "if gram.ndim != 2:", ("tests/test_sqrm.py",)),
-    Mutant("sqrm.py", "gram.T, atol=1e-12)", "gram.T, atol=1.0)", ("tests/test_sqrm.py",)),
-    Mutant("sqrm.py", "if m & (m - 1):", "if False:", ("tests/test_sqrm.py",)),
+           "if gram.ndim != 2:", LIBRARY_REFUSALS),
+    Mutant("sqrm.py", "gram.T, atol=1e-12)", "gram.T, atol=1.0)", LIBRARY_REFUSALS),
+    Mutant("sqrm.py", "if m & (m - 1):", "if False:", LIBRARY_REFUSALS),
     Mutant("synthesis.py", "if not 0 <= i < j < 2**n:", "if not 0 <= i < j <= 2**n:",
-           ("tests/test_synthesis.py",)),
-    Mutant("cavityqed.py", "eps < 2.0 * np.pi:", "eps < 2.0e3 * np.pi:", ("tests/test_cli.py",)),
-    Mutant("cavityqed.py", "not (g > 0 and nu > 0)", "g <= 0 or nu <= 0", ("tests/test_cli.py",)),
+           LIBRARY_REFUSALS),
+    Mutant("cavityqed.py", "eps < 2.0 * np.pi:", "eps < 2.0e3 * np.pi:", CLI_REFUSALS),
+    Mutant("cavityqed.py", "not (g > 0 and nu > 0)", "g <= 0 or nu <= 0", CLI_REFUSALS),
     Mutant("cli.py", "if not os.path.basename(target) or os.path.isdir(target):",
-           "if not os.path.basename(target):", ("tests/test_cli.py",)),
+           "if not os.path.basename(target):",
+           ("tests/test_cli.py::test_refused_out_computes_no_row",)),
     Mutant("cli.py", "if os.path.lexists(args.out.rstrip(os.sep)) and not os.path.isdir(args.out):",
-           "if False:", ("tests/test_cli.py",)),
+           "if False:",
+           ("tests/test_cli.py::test_synthesize_refuses_an_out_file_before_the_srm_build",)),
     Mutant("cli.py", "math.isfinite(start) and math.isfinite(end) and 0 < step",
-           "0 < step", ("tests/test_cli.py",)),
-    Mutant("codebook.py", "if n < 2:", "if n < 1:", ("tests/test_cli.py",)),
+           "0 < step", CLI_REFUSALS),
+    Mutant("codebook.py", "if n < 2:", "if n < 1:", CLI_REFUSALS),
     Mutant("codebook.py", "if n > MAX_BLOCK_LENGTH:", "if n > MAX_BLOCK_LENGTH + 1:",
-           ("tests/test_cli.py",)),
-    Mutant("binary_channel.py", "(kappa <= 1.0))", "(kappa <= 2.0))", ("tests/test_cli.py",)),
-    Mutant("sweep.py", "if not tolerance > 0:", "if False:", ("tests/test_cli.py",)),
-    Mutant("sweep.py", 'if codebook_choice == "alt" and n != 3:', "if False:",
-           ("tests/test_cli.py",)),
+           CLI_REFUSALS),
+    Mutant("binary_channel.py", "(kappa <= 1.0))", "(kappa <= 2.0))", CLI_REFUSALS),
+    Mutant("sweep.py", "if not tolerance > 0:", "if False:", CLI_REFUSALS),
+    Mutant("sweep.py", 'if codebook_choice == "alt" and n != 3:', "if False:", CLI_REFUSALS),
     # an error class, not the bound: below the float spacing bisection would never end
     Mutant("sweep.py", 'raise ResourceError(\n            f"tolerance',
-           'raise DomainError(\n            f"tolerance', ("tests/test_cli.py",)),
+           'raise DomainError(\n            f"tolerance', CLI_REFUSALS),
     Mutant("synthesis.py", "if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):", "if False:",
-           ("tests/test_cli.py",)),
-    Mutant("cavityqed.py", "if delta == 0.0:", "if False:", ("tests/test_cli.py",)),
+           CLI_REFUSALS),
+    Mutant("cavityqed.py", "if delta == 0.0:", "if False:", CLI_REFUSALS),
+    # a NaN matrix fails these bounds at any tolerance; the all-ones rows fail them only while tight
+    Mutant("synthesis.py", "np.eye(dim))) <= 1e-10", "np.eye(dim))) <= 1e10", LIBRARY_REFUSALS),
+    Mutant("cavityqed.py", "np.eye(4))) <= 1e-10", "np.eye(4))) <= 1e10", LIBRARY_REFUSALS),
+    Mutant("codebook.py", "len(w) != self.n or ", "", LIBRARY_REFUSALS),
+    Mutant("codebook.py", "if len(set(words)) != len(words):", "if False:", LIBRARY_REFUSALS),
+    Mutant("cavityqed.py", "if tau < 0:", "if tau < -1.0:", LIBRARY_REFUSALS),
+    Mutant("sqrm.py", "if np.any((character_sums != 0.0) & (character_sums != m)):",
+           "if False:", LIBRARY_REFUSALS),
+    Mutant("sweep.py", "if codebook_choice not in _CODEBOOKS:", "if False:", LIBRARY_REFUSALS),
+    Mutant("synthesis.py", "if not issubclass(kind, (ControlledRotation, ControlledFlip)):",
+           "if False:", LIBRARY_REFUSALS),
+    Mutant("synthesis.py", 'raise DomainError(f"gate {g!r} has no text form")', "continue",
+           LIBRARY_REFUSALS),
 )
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -175,3 +176,32 @@ def test_criterion_11_holevo_upper_bound():
     worst = max(np.max(sqrm.even_weight_summary(n, kappa)[0] / n - bc.holevo_limit(kappa))
                 for n in range(2, 21))
     _report(11, f"per-letter information below the Holevo limit ({worst:.1e})", worst <= 1e-10)
+
+
+def test_criterion_12_third_extension_is_the_first():
+    """The abstract's claim that superadditivity appears from the third extension
+    on, over every codebook of two or more words: none at n = 2 has a positive
+    margin (above 1e-12 anywhere on 0.01..0.99), and at n = 3 exactly the
+    even-weight code and its odd coset do.  The dense route, one eigh of the Gram
+    matrix per codebook batched over kappa.  Scope: the SRM with equiprobable
+    words; another measurement or unequal priors may do otherwise."""
+    kappa = np.linspace(0.01, 0.99, 99)
+    positive, best, count = [], {}, {}
+    for n in (2, 3):
+        words = [format(v, f"0{n}b") for v in range(2**n)]
+        books = [b for m in range(2, 2**n + 1) for b in itertools.combinations(words, m)]
+        count[n] = len(books)
+        for book in books:
+            distance = np.array([[sum(a != b for a, b in zip(u, v)) for v in book] for u in book])
+            lam, vec = np.linalg.eigh(kappa[:, None, None] ** distance)
+            # P(j|i) is the squared entry of the principal Gram root, per kappa
+            p = ((vec * np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)) ** 2
+            ratio = np.divide(p, p.mean(axis=1, keepdims=True), out=np.ones_like(p), where=p > 0)
+            info = np.sum(p * np.log2(ratio), axis=(1, 2)) / len(book)
+            margin = np.max(info / n - bc.capacity_c1(kappa))
+            best[n] = max(best.get(n, -1.0), margin)
+            if margin > 1e-12:
+                positive.append(book)
+    ok = positive == [("000", "011", "101", "110"), ("001", "010", "100", "111")]
+    _report(12, f"positive margins: none of {count[2]} codebooks at n = 2 (max {best[2]:.1e}),"
+                f" the even and odd codes of {count[3]} at n = 3 (max {best[3]:.3g})", ok)

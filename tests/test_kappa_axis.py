@@ -6,7 +6,6 @@ import pytest
 
 from srmchannel import binary_channel as bc
 from srmchannel import sqrm, sweep
-from srmchannel.exceptions import ConsistencyError
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -65,9 +64,3 @@ def test_leading_axes_keep_their_shape():
     assert np.array_equal(info.ravel(), flat_info)
     assert np.array_equal(pe.ravel(), flat_pe)
     assert sweep.superadditivity_margin(7, kappa).shape == (3, 4)
-
-
-def test_normalization_check_names_the_first_bad_channel():
-    q = np.array([[0.5, 0.5], [0.5, 0.25], [0.25, 0.25]])
-    with pytest.raises(ConsistencyError, match="sum to 0.75"):
-        sqrm._symmetric_summary(q, np.ones(2))

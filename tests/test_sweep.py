@@ -11,7 +11,6 @@ from oracles import (
     threshold_kappa_sequential,
 )
 from srmchannel import binary_channel as bc, cli, codebook as cb, sqrm, sweep
-from srmchannel.exceptions import DomainError, ResourceError
 
 # 40-digit reference values (see test_sqrm for the channel-matrix entries).
 MARGIN_3_08 = 0.007167536556507065
@@ -43,26 +42,6 @@ def test_margin_endpoints(n):
 def test_margin_is_exactly_zero_at_identical_letters():
     assert bc.capacity_c1(1.0) == 0.0
     assert sweep.superadditivity_margin(3, 1.0, codebook_choice="alt") == 0.0
-
-
-def test_margin_domain():
-    with pytest.raises(DomainError):
-        sweep.superadditivity_margin(1, 0.5)
-    with pytest.raises(DomainError):
-        sweep.superadditivity_margin(3, 1.5)
-
-
-def test_block_length_checked_at_the_endpoints_too():
-    with pytest.raises(ResourceError):
-        sweep.superadditivity_margin(21, 1.0)
-    with pytest.raises(ResourceError):
-        sweep.sweep_table([21], [0.0])
-    with pytest.raises(DomainError):
-        sweep.sweep_table([1], [0.0])
-    with pytest.raises(DomainError):
-        sweep.superadditivity_margin(5, 0.5, codebook_choice="alt")
-    with pytest.raises(DomainError):
-        sweep.superadditivity_margin(3, 0.5, codebook_choice="odd")
 
 
 @pytest.mark.parametrize("ns,spec,digest", FIGURE_DIGESTS, ids=["n3", "n5-13"])
